@@ -67,8 +67,8 @@ pub mod wirelength;
 
 pub use full_custom::FcEstimate;
 pub use pipeline::{IncrementalRun, Pipeline};
-pub use prob::{CacheStats, ProbTable};
+pub use prob::ProbTable;
 pub use report::{EstimateRecord, ResultsDb};
 pub use request::{Request, RequestCall, RequestError, Response};
-pub use results_cache::{ResultsCache, ResultsCacheStats};
+pub use results_cache::ResultsCache;
 pub use standard_cell::ScEstimate;

@@ -18,15 +18,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use maestro_netlist::{
-    diff, mnl, LayoutStyle, Module, ModuleFingerprint, NetlistDiff, NetlistError, NetlistStats,
-    RevisionManifest, StatsCache,
+    diff, mnl, CacheStats, LayoutStyle, Module, ModuleFingerprint, NetlistDiff, NetlistError,
+    NetlistStats, RevisionManifest, StatsCache,
 };
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
 
-use crate::prob::{CacheStats, ProbTable};
+use crate::prob::ProbTable;
 use crate::report::{EstimateRecord, ResultsDb};
-use crate::results_cache::{params_digest, ResultsCache, ResultsKey};
+use crate::results_cache::{params_digest, ResultsCache};
 use crate::standard_cell::ScParams;
 use crate::{full_custom, standard_cell};
 
@@ -252,16 +252,6 @@ impl Pipeline {
         self.results.as_ref()
     }
 
-    /// The memo key of one module under this pipeline's technology and
-    /// parameters.
-    fn results_key(&self, module: &Module) -> ResultsKey {
-        (
-            ModuleFingerprint::of(module),
-            self.tech.revision().id(),
-            params_digest(&self.sc_params),
-        )
-    }
-
     /// Resolves a module's statistics through the cache (shared `Arc` per
     /// (module, technology, style)), or uncached when disabled.
     fn resolve_stats(
@@ -285,11 +275,15 @@ impl Pipeline {
     pub fn run_module(&self, module: &Module) -> Result<EstimateRecord, NetlistError> {
         let _module_span = trace::span_with("pipeline.module", || module.name().to_owned());
         trace::counter("estimate.nets", module.net_count() as u64);
-        let key = self.results.as_ref().map(|cache| {
-            let key = self.results_key(module);
-            (Arc::clone(cache), key)
+        // The result memo's key: module content × technology × parameters.
+        let key = self.results.as_ref().map(|_| {
+            (
+                ModuleFingerprint::of(module),
+                self.tech.revision().id(),
+                params_digest(&self.sc_params),
+            )
         });
-        if let Some((cache, key)) = &key {
+        if let (Some(cache), Some(key)) = (&self.results, &key) {
             if let Some(record) = cache.get(key) {
                 return Ok((*record).clone());
             }
@@ -334,7 +328,7 @@ impl Pipeline {
             full_custom: fc,
             standard_cell_candidates: sc_candidates,
         };
-        if let Some((cache, key)) = key {
+        if let (Some(cache), Some(key)) = (&self.results, key) {
             cache.insert(key, record.clone());
         }
         Ok(record)

@@ -38,6 +38,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
+use maestro_netlist::CacheStats;
 use serde::{Deserialize, Serialize};
 
 /// Maximum supported row count; beyond this the f64 binomials would lose
@@ -209,32 +210,6 @@ struct CachedDist {
     expected_tracks: u32,
 }
 
-/// Cache statistics of a [`ProbTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Queries answered from the memo.
-    pub hits: u64,
-    /// Queries that computed a fresh distribution.
-    pub misses: u64,
-    /// Distinct `(rows, k)` distributions currently cached.
-    pub entries: usize,
-}
-
-impl CacheStats {
-    /// Hit/miss growth since an `earlier` snapshot of the same table —
-    /// what a traced pipeline stage charges to itself. `entries` carries
-    /// the current level (it is not a monotonic counter). Saturates if
-    /// the snapshots are swapped.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            entries: self.entries,
-        }
-    }
-}
-
 /// The memoized Eq. 2–3 probability kernel.
 ///
 /// [`RowOccupancy::new`] rebuilds the surjection table and every binomial
@@ -392,11 +367,13 @@ impl ProbTable {
     }
 
     /// Hit/miss/entry counters (hits and misses are read `Relaxed`; exact
-    /// only in quiescence, indicative under concurrency).
+    /// only in quiescence, indicative under concurrency). The table is
+    /// finite and never evicts.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            evictions: 0,
             entries: self.memo.read().expect("prob memo poisoned").len(),
         }
     }

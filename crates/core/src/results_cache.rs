@@ -9,18 +9,15 @@
 //! 96-module chip with one edited module then pays estimation cost for
 //! exactly one module; the other 95 come straight out of this memo.
 //!
-//! Like the stats layer, the memo is bounded: a streaming million-module
-//! run evicts least-recently-used entries in batches instead of growing
-//! without limit. Every lookup emits `estimate.results.hits` /
-//! `estimate.results.misses` (and evictions emit
-//! `estimate.results.evictions`) trace counters.
+//! Like the stats layer, the memo is a [`BoundedMemo`]: a streaming
+//! million-module run evicts least-recently-used entries in batches
+//! instead of growing without limit. Every lookup emits
+//! `estimate.results.hits` / `estimate.results.misses` (and evictions
+//! emit `estimate.results.evictions`) trace counters.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-use maestro_netlist::ModuleFingerprint;
-use maestro_trace as trace;
+use maestro_netlist::{content_hash128, BoundedMemo, CacheStats, MemoCounters, ModuleFingerprint};
 
 use crate::report::EstimateRecord;
 use crate::standard_cell::ScParams;
@@ -31,63 +28,16 @@ pub type ResultsKey = (ModuleFingerprint, u64, u64);
 /// Default entry cap for [`ResultsCache`].
 pub const DEFAULT_RESULTS_CAPACITY: usize = 8192;
 
-/// FNV-1a digest of every estimation parameter that can change a
-/// module's [`EstimateRecord`] under a fixed technology. Two pipelines
-/// with equal digests produce byte-identical records for the same
-/// (module, technology) pair.
+/// Digest of every estimation parameter that can change a module's
+/// [`EstimateRecord`] under a fixed technology: [`content_hash128`] of
+/// the parameter words, folded to 64 bits. Two pipelines with equal
+/// digests produce byte-identical records for the same (module,
+/// technology) pair.
 pub fn params_digest(params: &ScParams) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    let mut word = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    match params.rows {
-        Some(rows) => {
-            word(1);
-            word(u64::from(rows));
-        }
-        None => word(0),
-    }
-    word(u64::from(params.max_rows));
-    h
-}
-
-/// Counter snapshot of a [`ResultsCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResultsCacheStats {
-    /// Lookups served from the memo.
-    pub hits: u64,
-    /// Lookups that missed (the caller then runs the full estimate).
-    pub misses: u64,
-    /// Entries dropped by the capacity bound since construction.
-    pub evictions: u64,
-    /// Records currently cached.
-    pub entries: usize,
-}
-
-impl ResultsCacheStats {
-    /// Counter growth since an `earlier` snapshot of the same cache.
-    /// `entries` carries the current level. Saturates if the snapshots
-    /// are swapped.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &ResultsCacheStats) -> ResultsCacheStats {
-        ResultsCacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            entries: self.entries,
-        }
-    }
-}
-
-#[derive(Debug)]
-struct CachedRecord {
-    record: Arc<EstimateRecord>,
-    last_used: AtomicU64,
+    let (tag, rows) = params.rows.map_or((0, 0), |rows| (1, u64::from(rows)));
+    let words = [tag, rows, u64::from(params.max_rows)];
+    let h = content_hash128(&words.map(u64::to_le_bytes).concat());
+    (h ^ (h >> 64)) as u64
 }
 
 /// Bounded concurrent memo of per-module estimation results.
@@ -116,12 +66,7 @@ struct CachedRecord {
 /// ```
 #[derive(Debug)]
 pub struct ResultsCache {
-    memo: RwLock<HashMap<ResultsKey, CachedRecord>>,
-    capacity: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    memo: BoundedMemo<ResultsKey, Arc<EstimateRecord>>,
 }
 
 impl Default for ResultsCache {
@@ -137,88 +82,37 @@ impl ResultsCache {
     }
 
     /// An empty cache holding at most `capacity` records (clamped to at
-    /// least 1). When an insertion would exceed the cap, the
-    /// least-recently-used records are dropped in a batch (an eighth of
-    /// the capacity, at least one).
+    /// least 1), evicting as [`BoundedMemo`] does.
     pub fn with_capacity(capacity: usize) -> Self {
         ResultsCache {
-            memo: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            memo: BoundedMemo::new(
+                capacity,
+                MemoCounters {
+                    hits: Some("estimate.results.hits"),
+                    misses: Some("estimate.results.misses"),
+                    evictions: Some("estimate.results.evictions"),
+                },
+            ),
         }
-    }
-
-    /// The entry cap this cache was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Looks up a memoized record, counting a hit or a miss (emitted as
     /// `estimate.results.hits` / `estimate.results.misses` trace
     /// counters).
     pub fn get(&self, key: &ResultsKey) -> Option<Arc<EstimateRecord>> {
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let found = {
-            let read = self.memo.read().expect("results memo poisoned");
-            read.get(key).map(|entry| {
-                entry.last_used.store(now, Ordering::Relaxed);
-                Arc::clone(&entry.record)
-            })
-        };
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            trace::counter("estimate.results.hits", 1);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            trace::counter("estimate.results.misses", 1);
-        }
-        found
+        self.memo.get(key)
     }
 
     /// Memoizes a record, evicting least-recently-used entries first if
     /// the cache is at capacity. Re-inserting an existing key replaces
     /// its record.
     pub fn insert(&self, key: ResultsKey, record: EstimateRecord) {
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut write = self.memo.write().expect("results memo poisoned");
-        if !write.contains_key(&key) && write.len() >= self.capacity {
-            let batch = (self.capacity / 8).max(1);
-            let mut victims: Vec<(ResultsKey, u64)> = write
-                .iter()
-                .map(|(k, entry)| (*k, entry.last_used.load(Ordering::Relaxed)))
-                .collect();
-            victims.sort_unstable_by_key(|&(_, used)| used);
-            let mut evicted = 0u64;
-            for (victim, _) in victims.into_iter().take(batch) {
-                write.remove(&victim);
-                evicted += 1;
-            }
-            if evicted > 0 {
-                self.evictions.fetch_add(evicted, Ordering::Relaxed);
-                trace::counter("estimate.results.evictions", evicted);
-            }
-        }
-        write.insert(
-            key,
-            CachedRecord {
-                record: Arc::new(record),
-                last_used: AtomicU64::new(now),
-            },
-        );
+        self.memo.insert(key, Arc::new(record));
     }
 
-    /// Counter snapshot (monotonic counters are read `Relaxed`; exact
-    /// only in quiescence).
-    pub fn stats(&self) -> ResultsCacheStats {
-        ResultsCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.memo.read().expect("results memo poisoned").len(),
-        }
+    /// Hit/miss/eviction/entry counters.
+    pub fn stats(&self) -> CacheStats {
+        self.memo.stats()
     }
 }
 
@@ -252,7 +146,7 @@ mod tests {
         assert!(Arc::ptr_eq(&one, &two));
         assert_eq!(
             cache.stats(),
-            ResultsCacheStats {
+            CacheStats {
                 hits: 2,
                 misses: 1,
                 evictions: 0,
@@ -303,31 +197,5 @@ mod tests {
             }
         }
         assert_eq!(params_digest(&base), params_digest(&ScParams::default()));
-    }
-
-    #[test]
-    fn delta_since_subtracts_and_saturates() {
-        let a = ResultsCacheStats {
-            hits: 5,
-            misses: 2,
-            evictions: 0,
-            entries: 2,
-        };
-        let b = ResultsCacheStats {
-            hits: 9,
-            misses: 3,
-            evictions: 1,
-            entries: 4,
-        };
-        assert_eq!(
-            b.delta_since(&a),
-            ResultsCacheStats {
-                hits: 4,
-                misses: 1,
-                evictions: 1,
-                entries: 4
-            }
-        );
-        assert_eq!(a.delta_since(&b).hits, 0);
     }
 }

@@ -665,6 +665,7 @@ pub(crate) fn floorplan_seeded(
         let initial_cost = state.cached_cost;
         let final_cost = anneal_replicas(
             &mut state,
+            None,
             &params.schedule,
             params.seed,
             params.replicas,

@@ -3,7 +3,7 @@
 
 use maestro_geom::{AspectRatio, Lambda, LambdaArea};
 use maestro_netlist::{DeviceId, LayoutStyle, Module, NetlistError, StatsCache};
-use maestro_place::{anneal_replicas_warm, AnnealSchedule, AnnealState};
+use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState};
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
 use rand::rngs::StdRng;
@@ -435,7 +435,7 @@ pub fn synthesize(
 /// [`synthesize`] with an optional warm-start seed from a prior run.
 ///
 /// The seed's expression joins the best-of-replicas reduction as one
-/// *extra* walk (see `anneal_replicas_warm`): the cold walks run exactly
+/// *extra* walk (see `anneal_replicas`): the cold walks run exactly
 /// as an unseeded [`synthesize`] would, so the result is never worse —
 /// in cost — than either the unseeded run at the same parameters or the
 /// seed itself. A seed whose tile count no longer matches the module (a
@@ -563,7 +563,7 @@ fn synthesize_with_seed(
             None
         }
     });
-    let final_cost = anneal_replicas_warm(
+    let final_cost = anneal_replicas(
         &mut state,
         warm_state,
         &params.schedule,

@@ -12,8 +12,7 @@
 //! seed against the new tile set, so a stale seed degrades to a cold
 //! start, never to a wrong layout.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use maestro_netlist::{BoundedMemo, MemoCounters};
 
 use crate::synthesize::SynthSeed;
 
@@ -24,9 +23,7 @@ pub const DEFAULT_WARM_CAPACITY: usize = 1024;
 /// technology revision).
 #[derive(Debug)]
 pub struct WarmStore {
-    seeds: Mutex<HashMap<(String, u64), (SynthSeed, u64)>>,
-    capacity: usize,
-    tick: std::sync::atomic::AtomicU64,
+    seeds: BoundedMemo<(String, u64), SynthSeed>,
 }
 
 impl Default for WarmStore {
@@ -42,57 +39,33 @@ impl WarmStore {
     }
 
     /// An empty store holding at most `capacity` seeds (clamped to at
-    /// least 1); the least-recently-touched seed is dropped when a new
-    /// insertion would exceed the cap.
+    /// least 1), evicting the least-recently-touched seeds as
+    /// [`BoundedMemo`] does.
     pub fn with_capacity(capacity: usize) -> Self {
         WarmStore {
-            seeds: Mutex::new(HashMap::new()),
-            capacity: capacity.max(1),
-            tick: std::sync::atomic::AtomicU64::new(0),
+            seeds: BoundedMemo::new(capacity, MemoCounters::default()),
         }
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 
     /// The stored seed for a module under a technology revision, if any.
     pub fn get(&self, module_name: &str, tech_revision: u64) -> Option<SynthSeed> {
-        let now = self.next_tick();
-        let mut seeds = self.seeds.lock().expect("warm store poisoned");
-        seeds
-            .get_mut(&(module_name.to_owned(), tech_revision))
-            .map(|(seed, used)| {
-                *used = now;
-                seed.clone()
-            })
+        self.seeds.get(&(module_name.to_owned(), tech_revision))
     }
 
     /// Stores (or replaces) a module's winning seed.
     pub fn put(&self, module_name: &str, tech_revision: u64, seed: SynthSeed) {
-        let now = self.next_tick();
-        let key = (module_name.to_owned(), tech_revision);
-        let mut seeds = self.seeds.lock().expect("warm store poisoned");
-        if !seeds.contains_key(&key) && seeds.len() >= self.capacity {
-            if let Some(victim) = seeds
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone())
-            {
-                seeds.remove(&victim);
-            }
-        }
-        seeds.insert(key, (seed, now));
+        self.seeds
+            .insert((module_name.to_owned(), tech_revision), seed);
     }
 
     /// Number of seeds currently stored.
     pub fn len(&self) -> usize {
-        self.seeds.lock().expect("warm store poisoned").len()
+        self.seeds.len()
     }
 
     /// True when no seeds are stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.seeds.is_empty()
     }
 }
 

@@ -45,7 +45,10 @@ use maestro_estimator::request::{Request, RequestCall, Response};
 use maestro_estimator::results_cache::ResultsCache;
 use maestro_estimator::standard_cell::ScParams;
 use maestro_fullcustom::WarmStore;
-use maestro_netlist::{mnl, Module, RevisionManifest, StatsCache};
+use maestro_netlist::{
+    content_hash128, mnl, BoundedMemo, CacheStats, MemoCounters, Module, RevisionManifest,
+    StatsCache,
+};
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
 
@@ -78,39 +81,12 @@ pub struct Session {
     warm: WarmStore,
     prev: Mutex<Option<RevisionManifest>>,
     tech_reuse: AtomicU64,
-    parsed: Mutex<HashMap<u128, (Arc<Module>, u64)>>,
-    parse_tick: AtomicU64,
-    parse_hits: AtomicU64,
-    parse_misses: AtomicU64,
+    parsed: BoundedMemo<u128, Arc<Module>>,
 }
 
 /// Parsed-module memo bound: ~10× the largest chip batch the bench
 /// drives, small enough that eviction never matters in practice.
 const PARSE_CACHE_CAPACITY: usize = 8192;
-
-/// 128-bit content hash over a chunk, FNV-style but folding 16-byte
-/// words per multiply: the memo hashes the entire request text on every
-/// round, so per-byte multiplies would rival the parse it avoids. The
-/// length is mixed in up front (so a short text and its zero-padded
-/// sibling differ) and only in-session equality matters — the hash never
-/// crosses a process boundary.
-fn hash128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013B;
-    let mut h = OFFSET ^ (bytes.len() as u128).wrapping_mul(PRIME);
-    let mut words = bytes.chunks_exact(16);
-    for word in &mut words {
-        let word = u128::from_le_bytes(word.try_into().expect("exact chunk"));
-        h = (h ^ word).wrapping_mul(PRIME);
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut padded = [0u8; 16];
-        padded[..tail.len()].copy_from_slice(tail);
-        h = (h ^ u128::from_le_bytes(padded)).wrapping_mul(PRIME);
-    }
-    (h ^ (h >> 64)).wrapping_mul(PRIME)
-}
 
 impl Default for Session {
     fn default() -> Self {
@@ -136,10 +112,14 @@ impl Session {
             warm: WarmStore::new(),
             prev: Mutex::new(None),
             tech_reuse: AtomicU64::new(0),
-            parsed: Mutex::new(HashMap::new()),
-            parse_tick: AtomicU64::new(0),
-            parse_hits: AtomicU64::new(0),
-            parse_misses: AtomicU64::new(0),
+            parsed: BoundedMemo::new(
+                PARSE_CACHE_CAPACITY,
+                MemoCounters {
+                    hits: Some("serve.parse.hits"),
+                    misses: Some("serve.parse.misses"),
+                    evictions: None,
+                },
+            ),
         }
     }
 
@@ -181,59 +161,29 @@ impl Session {
     fn try_parse_cached(&self, source: &str) -> Option<Vec<Arc<Module>>> {
         let _span = trace::span("serve.parse");
         let chunks = mnl::split_design(source)?;
-        let hashes: Vec<u128> = chunks.iter().map(|c| hash128(c.as_bytes())).collect();
-        let mut modules: Vec<Option<Arc<Module>>> = vec![None; chunks.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let mut parsed = self.parsed.lock().expect("serve parse memo lock poisoned");
-            for (i, hash) in hashes.iter().enumerate() {
-                if let Some((module, tick)) = parsed.get_mut(hash) {
-                    *tick = self.parse_tick.fetch_add(1, Ordering::Relaxed);
-                    modules[i] = Some(Arc::clone(module));
-                } else {
-                    missing.push(i);
-                }
-            }
-        }
-        let hits = (chunks.len() - missing.len()) as u64;
-        if hits > 0 {
-            self.parse_hits.fetch_add(hits, Ordering::Relaxed);
-            trace::counter("serve.parse.hits", hits);
-        }
-        // Parse the misses outside the lock: the memo stays available to
+        // Misses parse outside any lock: the memo stays available to
         // concurrent requests while this one chews its fresh chunks.
-        let mut fresh: Vec<(u128, Arc<Module>)> = Vec::with_capacity(missing.len());
-        for i in missing {
-            let module = Arc::new(mnl::parse(chunks[i]).ok()?);
-            fresh.push((hashes[i], Arc::clone(&module)));
-            modules[i] = Some(module);
+        let mut fresh: Vec<(u128, Arc<Module>)> = Vec::new();
+        let mut modules: Vec<Arc<Module>> = Vec::with_capacity(chunks.len());
+        for chunk in chunks {
+            let hash = content_hash128(chunk.as_bytes());
+            let module = match self.parsed.get(&hash) {
+                Some(module) => module,
+                None => {
+                    let module = Arc::new(mnl::parse(chunk).ok()?);
+                    fresh.push((hash, Arc::clone(&module)));
+                    module
+                }
+            };
+            modules.push(module);
         }
-        let modules: Vec<Arc<Module>> = modules
-            .into_iter()
-            .map(|m| m.expect("all slots filled"))
-            .collect();
         for (i, module) in modules.iter().enumerate() {
             if modules[..i].iter().any(|m| m.name() == module.name()) {
                 return None; // duplicate name: parse_design owns the error
             }
         }
-        if !fresh.is_empty() {
-            self.parse_misses
-                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-            trace::counter("serve.parse.misses", fresh.len() as u64);
-            let mut parsed = self.parsed.lock().expect("serve parse memo lock poisoned");
-            for (hash, module) in fresh {
-                let tick = self.parse_tick.fetch_add(1, Ordering::Relaxed);
-                parsed.insert(hash, (module, tick));
-            }
-            while parsed.len() > PARSE_CACHE_CAPACITY {
-                let victim = parsed
-                    .iter()
-                    .min_by_key(|(_, (_, tick))| *tick)
-                    .map(|(hash, _)| *hash)
-                    .expect("non-empty over capacity");
-                parsed.remove(&victim);
-            }
+        for (hash, module) in fresh {
+            self.parsed.insert(hash, module);
         }
         Some(modules)
     }
@@ -254,26 +204,25 @@ impl Session {
             {
                 let source = std::fs::read_to_string(file)
                     .map_err(|e| format!("cannot read {file}: {e}"))?;
-                match self.try_parse_cached(&source) {
-                    Some(parsed) => modules.extend(parsed),
-                    None => modules.extend(
-                        mnl::parse_design(&source)
-                            .map_err(|e| format!("{file}: {e}"))?
-                            .into_iter()
-                            .map(Arc::new),
-                    ),
-                }
+                modules.extend(self.parse_mnl(&source, file)?);
             } else {
                 modules.extend(ops::load_modules(file)?.into_iter().map(Arc::new));
             }
         }
         for source in mnl_sources {
-            match self.try_parse_cached(source) {
-                Some(parsed) => modules.extend(parsed),
-                None => modules.extend(ops::parse_inline_mnl(source)?.into_iter().map(Arc::new)),
-            }
+            modules.extend(self.parse_mnl(source, "inline mnl")?);
         }
         Ok(modules)
+    }
+
+    /// One `.mnl` text through the parse memo, or through the whole-file
+    /// parser (its errors prefixed with `origin`) when the memo declines.
+    fn parse_mnl(&self, source: &str, origin: &str) -> Result<Vec<Arc<Module>>, String> {
+        if let Some(parsed) = self.try_parse_cached(source) {
+            return Ok(parsed);
+        }
+        let modules = mnl::parse_design(source).map_err(|e| format!("{origin}: {e}"))?;
+        Ok(modules.into_iter().map(Arc::new).collect())
     }
 
     fn dispatch(&self, request: &Request) -> Result<String, String> {
@@ -376,31 +325,21 @@ impl Session {
     /// session's resolve memo, result memo, parse memo, warm-seed store
     /// and tech reuse counter.
     fn cache_stats_payload(&self) -> String {
-        let resolve = self.stats.stats();
-        let results = self.results.stats();
-        let parse_entries = self
-            .parsed
-            .lock()
-            .expect("serve parse memo lock poisoned")
-            .len();
+        let memo = |s: CacheStats| {
+            format!(
+                "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}}",
+                s.hits, s.misses, s.evictions, s.entries
+            )
+        };
+        let parse = self.parsed.stats();
         format!(
-            concat!(
-                "{{\"resolve\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}},",
-                "\"results\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}},",
-                "\"parse\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},",
-                "\"warm_seeds\":{},\"tech_reuse\":{}}}\n"
-            ),
-            resolve.hits,
-            resolve.misses,
-            resolve.evictions,
-            resolve.entries,
-            results.hits,
-            results.misses,
-            results.evictions,
-            results.entries,
-            self.parse_hits.load(Ordering::Relaxed),
-            self.parse_misses.load(Ordering::Relaxed),
-            parse_entries,
+            "{{\"resolve\":{},\"results\":{},\"parse\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\
+             \"warm_seeds\":{},\"tech_reuse\":{}}}\n",
+            memo(self.stats.stats()),
+            memo(self.results.stats()),
+            parse.hits,
+            parse.misses,
+            parse.entries,
             self.warm.len(),
             self.tech_reuse.load(Ordering::Relaxed),
         )

@@ -8,7 +8,7 @@
 //! times, so resolution must be paid once per triple, not once per
 //! consumer.
 //!
-//! [`StatsCache`] is that memo: a concurrent map keyed by
+//! [`StatsCache`] is that memo: a [`BoundedMemo`] keyed by
 //! ([`ModuleFingerprint`], [`maestro_tech::TechRevision`],
 //! [`LayoutStyle`]) returning `Arc<NetlistStats>`. Failed resolutions are
 //! cached too (a transistor-level module probed under the standard-cell
@@ -17,21 +17,19 @@
 //!
 //! Concurrency contract (stronger than `ProbTable`'s): each key is
 //! computed **exactly once** even under races — late arrivals block on the
-//! winner's [`OnceLock`] slot instead of duplicating the scan — and
-//! distinct keys never serialize against each other's computation.
+//! winner's slot instead of duplicating the scan — and distinct keys never
+//! serialize against each other's computation.
 //!
 //! Every lookup emits a `netlist.resolve.hits` / `netlist.resolve.misses`
 //! trace counter increment (no-ops when tracing is disabled), so traced
 //! runs surface cache effectiveness in `perf-report`.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 use maestro_tech::ProcessDb;
-use maestro_trace as trace;
 
+use crate::memo::{content_hash128, BoundedMemo, CacheStats, MemoCounters};
 use crate::{LayoutStyle, Module, NetlistError, NetlistStats};
 
 /// A 128-bit content fingerprint of a [`Module`].
@@ -39,51 +37,37 @@ use crate::{LayoutStyle, Module, NetlistError, NetlistStats};
 /// Covers everything `NetlistStats::resolve` can observe — the module
 /// name, every device (name, template, pin bindings), every net (name,
 /// attached pins and ports) and every port (name, direction, net) — in a
-/// canonical length-prefixed byte encoding, so *any* mutation that could
-/// change resolution output changes the fingerprint. The converse is
-/// deliberately not guaranteed: two modules that differ only in, say,
-/// declaration order get distinct fingerprints even though their stats
-/// may coincide. Over-separation only costs a duplicate cache entry;
-/// under-separation would serve wrong answers.
+/// canonical length-prefixed byte encoding hashed with
+/// [`content_hash128`], so *any* mutation that could change resolution
+/// output changes the fingerprint. The converse is deliberately not
+/// guaranteed: two modules that differ only in, say, declaration order
+/// get distinct fingerprints even though their stats may coincide.
+/// Over-separation only costs a duplicate cache entry; under-separation
+/// would serve wrong answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModuleFingerprint(u128);
 
-/// FNV-1a, 128-bit variant: tiny, dependency-free and plenty for a cache
-/// key that only needs to separate the modules of one run (collisions
-/// need ~2^64 distinct modules).
-struct Fnv128(u128);
+/// The canonical byte encoding a fingerprint hashes.
+#[derive(Default)]
+struct Encoding(Vec<u8>);
 
-impl Fnv128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-
-    fn new() -> Self {
-        Fnv128(Self::OFFSET)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u128::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Length-prefixed string: `"ab" + "c"` and `"a" + "bc"` must hash
+impl Encoding {
+    /// Length-prefixed string: `"ab" + "c"` and `"a" + "bc"` must encode
     /// differently.
     fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
+        self.0.extend_from_slice(s.as_bytes());
     }
 
     fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+        self.0.extend_from_slice(&v.to_le_bytes());
     }
 }
 
 impl ModuleFingerprint {
     /// Fingerprints a module's full content.
     pub fn of(module: &Module) -> Self {
-        let mut h = Fnv128::new();
+        let mut h = Encoding::default();
         h.str(module.name());
         h.u64(module.port_count() as u64);
         for (_, port) in module.ports() {
@@ -114,7 +98,7 @@ impl ModuleFingerprint {
                 h.u64(port.index() as u64);
             }
         }
-        ModuleFingerprint(h.0)
+        ModuleFingerprint(content_hash128(&h.0))
     }
 }
 
@@ -124,54 +108,12 @@ impl fmt::Display for ModuleFingerprint {
     }
 }
 
-/// Cache statistics of a [`StatsCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups served from the memo.
-    pub hits: u64,
-    /// Lookups that ran `NetlistStats::resolve` (successfully or not).
-    pub misses: u64,
-    /// Entries dropped by the capacity bound since construction.
-    pub evictions: u64,
-    /// Distinct keys currently cached (including cached failures).
-    pub entries: usize,
-}
-
-impl CacheStats {
-    /// Hit/miss/eviction growth since an `earlier` snapshot of the same
-    /// cache. `entries` carries the current level (it is not a monotonic
-    /// counter). Saturates if the snapshots are swapped.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            evictions: self.evictions.saturating_sub(earlier.evictions),
-            entries: self.entries,
-        }
-    }
-}
-
-/// One memo slot. The `OnceLock` guarantees the resolve runs exactly once
-/// per key: the losing thread of an insertion race blocks in
-/// `get_or_init` until the winner's computation lands, instead of
-/// duplicating it.
-type Slot = Arc<OnceLock<Result<Arc<NetlistStats>, NetlistError>>>;
-
 type Key = (ModuleFingerprint, u64, LayoutStyle);
 
 /// Default entry cap: generous for chip-scale batches (a `mixed:1m`
 /// stream resolves ~11k distinct triples) while still bounding a
 /// pathological stream of never-repeating modules.
 pub const DEFAULT_STATS_CAPACITY: usize = 4096;
-
-/// A memo slot plus the logical clock of its most recent use, for
-/// least-recently-used victim selection.
-#[derive(Debug, Default)]
-struct SlotEntry {
-    slot: Slot,
-    last_used: AtomicU64,
-}
 
 /// The concurrent resolve-once memo for [`NetlistStats`].
 ///
@@ -193,12 +135,7 @@ struct SlotEntry {
 /// ```
 #[derive(Debug)]
 pub struct StatsCache {
-    memo: RwLock<HashMap<Key, SlotEntry>>,
-    capacity: usize,
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    memo: BoundedMemo<Key, Result<Arc<NetlistStats>, NetlistError>>,
 }
 
 impl Default for StatsCache {
@@ -215,24 +152,19 @@ impl StatsCache {
     }
 
     /// An empty cache holding at most `capacity` entries (clamped to at
-    /// least 1). When an insertion would exceed the cap, the
-    /// least-recently-used *completed* entries are dropped in a batch
-    /// (an eighth of the capacity, at least one) — in-flight slots that
-    /// other threads may be blocked on are never evicted.
+    /// least 1), evicting as [`BoundedMemo`] does; evictions emit
+    /// `netlist.resolve.evictions`.
     pub fn with_capacity(capacity: usize) -> Self {
         StatsCache {
-            memo: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            memo: BoundedMemo::new(
+                capacity,
+                MemoCounters {
+                    hits: Some("netlist.resolve.hits"),
+                    misses: Some("netlist.resolve.misses"),
+                    evictions: Some("netlist.resolve.evictions"),
+                },
+            ),
         }
-    }
-
-    /// The entry cap this cache was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// The process-wide shared cache: entry points that carry no explicit
@@ -260,80 +192,14 @@ impl StatsCache {
         style: LayoutStyle,
     ) -> Result<Arc<NetlistStats>, NetlistError> {
         let key = (ModuleFingerprint::of(module), tech.revision().id(), style);
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let slot = {
-            let read = self.memo.read().expect("stats memo poisoned");
-            read.get(&key).map(|entry| {
-                entry.last_used.store(now, Ordering::Relaxed);
-                Arc::clone(&entry.slot)
-            })
-        };
-        let slot = match slot {
-            Some(slot) => slot,
-            None => {
-                let mut write = self.memo.write().expect("stats memo poisoned");
-                if !write.contains_key(&key) && write.len() >= self.capacity {
-                    self.evict_oldest(&mut write);
-                }
-                let entry = write.entry(key).or_default();
-                entry.last_used.store(now, Ordering::Relaxed);
-                Arc::clone(&entry.slot)
-            }
-        };
-        // Outside both locks: concurrent *distinct* keys compute freely in
-        // parallel; concurrent *same-key* callers block here until the one
-        // winning closure finishes, so the scan runs exactly once per key.
-        let mut computed = false;
-        let result = slot
-            .get_or_init(|| {
-                computed = true;
-                NetlistStats::resolve(module, tech, style).map(Arc::new)
-            })
-            .clone();
-        if computed {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            trace::counter("netlist.resolve.misses", 1);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            trace::counter("netlist.resolve.hits", 1);
-        }
-        result
+        self.memo.get_or_insert_with(key, || {
+            NetlistStats::resolve(module, tech, style).map(Arc::new)
+        })
     }
 
-    /// Drops the least-recently-used completed entries to make room for
-    /// one more insertion. Runs under the write lock, so victim selection
-    /// sees a consistent map; in-flight slots (whose compute another
-    /// thread may be blocked on) are exempt. Each eviction is counted and
-    /// emitted as a `netlist.resolve.evictions` trace counter.
-    fn evict_oldest(&self, memo: &mut HashMap<Key, SlotEntry>) {
-        let batch = (self.capacity / 8).max(1);
-        let mut victims: Vec<(Key, u64)> = memo
-            .iter()
-            .filter(|(_, entry)| entry.slot.get().is_some())
-            .map(|(key, entry)| (*key, entry.last_used.load(Ordering::Relaxed)))
-            .collect();
-        victims.sort_unstable_by_key(|&(_, used)| used);
-        let mut evicted = 0u64;
-        for (key, _) in victims.into_iter().take(batch) {
-            memo.remove(&key);
-            evicted += 1;
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            trace::counter("netlist.resolve.evictions", evicted);
-        }
-    }
-
-    /// Hit/miss/eviction/entry counters (the monotonic counters are read
-    /// `Relaxed`; exact only in quiescence, indicative under
-    /// concurrency).
+    /// Hit/miss/eviction/entry counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.memo.read().expect("stats memo poisoned").len(),
-        }
+        self.memo.stats()
     }
 }
 

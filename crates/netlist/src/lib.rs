@@ -16,6 +16,8 @@
 //!   [`maestro_tech::ProcessDb`];
 //! * [`StatsCache`] — the resolve-once memo over [`NetlistStats`], keyed
 //!   by ([`ModuleFingerprint`], technology revision, [`LayoutStyle`]);
+//! * [`BoundedMemo`] and [`content_hash128`] — the bounded memo and the
+//!   content hash behind every cache of the estimator stack;
 //! * [`generate`] — seeded synthetic circuit generators (random logic plus
 //!   structured shift registers, adders, decoders, counters, mux trees);
 //! * [`library_circuits`] — the re-created Table 1 and Table 2 experiment
@@ -50,15 +52,17 @@ pub mod expand;
 pub mod generate;
 mod ids;
 pub mod library_circuits;
+mod memo;
 pub mod mnl;
 mod module;
 pub mod spice;
 mod stats;
 pub mod validate;
 
-pub use cache::{CacheStats, ModuleFingerprint, StatsCache, DEFAULT_STATS_CAPACITY};
+pub use cache::{ModuleFingerprint, StatsCache, DEFAULT_STATS_CAPACITY};
 pub use diff::{diff, NetlistDiff, RevisionManifest};
 pub use error::{NetlistError, ParseErrorKind};
 pub use ids::{DeviceId, NetId, PortId};
+pub use memo::{content_hash128, BoundedMemo, CacheStats, MemoCounters};
 pub use module::{Device, Module, ModuleBuilder, Net, PinRef, Port, PortDirection};
 pub use stats::{LayoutStyle, NetSizeHistogram, NetlistStats, WidthHistogram};

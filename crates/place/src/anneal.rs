@@ -132,103 +132,39 @@ pub fn replica_seed(base: u64, replica: usize) -> u64 {
 }
 
 /// Runs `replicas` independently seeded annealing walks from the same
-/// starting state and reduces to the best final cost with a deterministic
-/// tie-break (lowest cost, then lowest replica index). Each walk
-/// calibrates its own schedule from [`AnnealSchedule::calibrated`] with
-/// `probes` probe moves under its own seed.
+/// starting state, plus one optional *warm* walk from a prior solution,
+/// and reduces to the best final cost with a deterministic tie-break
+/// (lowest cost, then lowest walk index). Each walk calibrates its own
+/// schedule from [`AnnealSchedule::calibrated`] with `probes` probe moves
+/// under its own seed.
 ///
-/// `replicas = 1` runs today's calibrate-then-anneal sequence in place —
-/// no clone, no spawn — and is bit-identical to calling [`anneal`]
-/// directly. For `replicas > 1` the walks fan out over scoped threads
-/// (serially when `work_size` is below
-/// [`DEFAULT_REPLICA_WORK_THRESHOLD`]); results land in per-replica slots,
-/// so the reduction is independent of thread scheduling.
+/// The walks are one list of start states: `replicas` clones of `state`
+/// at indices `0..replicas` and the warm seed, if any, at index
+/// `replicas`. `replicas = 1` with no warm seed runs today's
+/// calibrate-then-anneal sequence in place — no clone, no spawn — and is
+/// bit-identical to calling [`anneal`] directly. Otherwise the walks fan
+/// out over scoped threads (serially when `work_size` is below
+/// [`DEFAULT_REPLICA_WORK_THRESHOLD`]); results are collected in walk
+/// order, so the reduction is independent of thread scheduling.
 ///
-/// Emits `anneal.replicas` and `anneal.replica_best` counters; each
-/// replica thread labels itself `replica-{r}`, so its spans and
-/// accept/reject counters carry per-replica attribution.
-pub fn anneal_replicas<S: AnnealState + Send>(
-    state: &mut S,
-    schedule: &AnnealSchedule,
-    base_seed: u64,
-    replicas: usize,
-    probes: usize,
-    work_size: usize,
-) -> f64 {
-    let replicas = replicas.max(1);
-    if replicas == 1 {
-        let schedule = schedule.clone().calibrated(state, base_seed, probes);
-        let cost = anneal(state, &schedule, base_seed);
-        trace::counter("anneal.replicas", 1);
-        trace::counter("anneal.replica_best", 0);
-        return cost;
-    }
-    let set_span = trace::span_with("anneal.replica_set", || format!("replicas={replicas}"));
-    let set_id = set_span.id();
-    let run_replica = |r: usize, mut local: S| -> (f64, S) {
-        let seed = replica_seed(base_seed, r);
-        let _span = trace::span_under("anneal.replica", set_id, || format!("replica={r}"));
-        let sched = schedule.clone().calibrated(&mut local, seed, probes);
-        let cost = anneal(&mut local, &sched, seed);
-        (cost, local)
-    };
-    let mut slots: Vec<Option<(f64, S)>> = (0..replicas).map(|_| None).collect();
-    if work_size < DEFAULT_REPLICA_WORK_THRESHOLD {
-        for (r, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_replica(r, state.clone()));
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for (r, slot) in slots.iter_mut().enumerate() {
-                let local = state.clone();
-                let run = &run_replica;
-                scope.spawn(move || {
-                    if trace::enabled() {
-                        trace::set_thread_label(format!("replica-{r}"));
-                    }
-                    *slot = Some(run(r, local));
-                });
-            }
-        });
-    }
-    let mut best_idx = 0usize;
-    let mut best = slots[0].take().expect("replica 0 result");
-    for (r, slot) in slots.iter_mut().enumerate().skip(1) {
-        let (cost, s) = slot.take().expect("replica result");
-        // Strict `<` keeps the lowest replica index on cost ties.
-        if cost < best.0 {
-            best = (cost, s);
-            best_idx = r;
-        }
-    }
-    trace::counter("anneal.replicas", replicas as u64);
-    trace::counter("anneal.replica_best", best_idx as u64);
-    *state = best.1;
-    best.0
-}
-
-/// [`anneal_replicas`] plus one optional *warm* walk seeded from a prior
-/// solution.
-///
-/// With `warm = None` this delegates to [`anneal_replicas`] — same walks,
-/// same counters, bit-identical result. With `warm = Some(prior)` the
-/// engine runs the `replicas` cold walks exactly as the plain call would
-/// (same starting state, same per-replica seeds) **plus** one extra walk
-/// of index `replicas` starting from `prior`. The reduction stays
-/// strict-`<` with lowest index winning ties, which yields two contracts
-/// by construction:
+/// A warm walk leaves every cold walk unchanged, and the reduction is
+/// strict-`<` with the lowest index winning ties, which gives two
+/// contracts by construction:
 ///
 /// * **never worse than cold**: every cold walk of the unseeded run is
 ///   present unchanged, so the reduced cost can only match or beat it;
 /// * **never worse than the seed**: [`anneal`] counts the starting state
-///   as "best seen", so the warm walk's cost never exceeds `prior`'s.
+///   as "best seen", so the warm walk's cost never exceeds the seed's.
 ///
 /// When the warm walk does not strictly win, the cold walks' winner is
-/// restored — the result is then identical to the unseeded run. Emits the
-/// usual `anneal.replicas` / `anneal.replica_best` counters (the warm
-/// walk counts as a replica) plus `anneal.warm_walks` and
-/// `anneal.warm_best` (1 when the warm walk won).
-pub fn anneal_replicas_warm<S: AnnealState + Send>(
+/// kept — the result is then identical to the unseeded run.
+///
+/// Emits `anneal.replicas` (every walk, the warm one included) and
+/// `anneal.replica_best` counters, plus `anneal.warm_walks` and
+/// `anneal.warm_best` (1 when the warm walk won) for a warm run; each
+/// walk's thread labels itself `replica-{r}`, so its spans and
+/// accept/reject counters carry per-replica attribution.
+pub fn anneal_replicas<S: AnnealState + Send>(
     state: &mut S,
     warm: Option<S>,
     schedule: &AnnealSchedule,
@@ -237,67 +173,71 @@ pub fn anneal_replicas_warm<S: AnnealState + Send>(
     probes: usize,
     work_size: usize,
 ) -> f64 {
-    let Some(warm) = warm else {
-        return anneal_replicas(state, schedule, base_seed, replicas, probes, work_size);
-    };
     let replicas = replicas.max(1);
-    let total = replicas + 1;
+    if replicas == 1 && warm.is_none() {
+        let schedule = schedule.clone().calibrated(state, base_seed, probes);
+        let cost = anneal(state, &schedule, base_seed);
+        trace::counter("anneal.replicas", 1);
+        trace::counter("anneal.replica_best", 0);
+        return cost;
+    }
+    let warm_walk = warm.is_some();
     let set_span = trace::span_with("anneal.replica_set", || {
-        format!("replicas={replicas} warm=1")
+        let warm = if warm_walk { " warm=1" } else { "" };
+        format!("replicas={replicas}{warm}")
     });
     let set_id = set_span.id();
     let run_replica = |r: usize, mut local: S| -> (f64, S) {
         let seed = replica_seed(base_seed, r);
         let _span = trace::span_under("anneal.replica", set_id, || {
-            if r == replicas {
-                format!("replica={r} warm")
-            } else {
-                format!("replica={r}")
-            }
+            let warm = if r == replicas { " warm" } else { "" };
+            format!("replica={r}{warm}")
         });
         let sched = schedule.clone().calibrated(&mut local, seed, probes);
         let cost = anneal(&mut local, &sched, seed);
         (cost, local)
     };
-    let mut starts: Vec<Option<S>> = (0..replicas).map(|_| Some(state.clone())).collect();
-    starts.push(Some(warm));
-    let mut slots: Vec<Option<(f64, S)>> = (0..total).map(|_| None).collect();
-    if work_size < DEFAULT_REPLICA_WORK_THRESHOLD {
-        for (r, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_replica(r, starts[r].take().expect("start state")));
-        }
+    let mut starts: Vec<S> = (0..replicas).map(|_| state.clone()).collect();
+    starts.extend(warm);
+    let total = starts.len();
+    let walks = starts.into_iter().enumerate();
+    let results: Vec<(f64, S)> = if work_size < DEFAULT_REPLICA_WORK_THRESHOLD {
+        walks.map(|(r, start)| run_replica(r, start)).collect()
     } else {
         std::thread::scope(|scope| {
-            for ((r, slot), start) in slots.iter_mut().enumerate().zip(starts.iter_mut()) {
-                let local = start.take().expect("start state");
-                let run = &run_replica;
-                scope.spawn(move || {
-                    if trace::enabled() {
-                        trace::set_thread_label(format!("replica-{r}"));
-                    }
-                    *slot = Some(run(r, local));
-                });
-            }
-        });
-    }
-    let mut best_idx = 0usize;
-    let mut best = slots[0].take().expect("replica 0 result");
-    for (r, slot) in slots.iter_mut().enumerate().skip(1) {
-        let (cost, s) = slot.take().expect("replica result");
-        // Strict `<`: ties keep the lowest index, so the warm walk (the
-        // highest index) only wins by strictly improving on every cold
-        // walk.
-        if cost < best.0 {
-            best = (cost, s);
-            best_idx = r;
-        }
-    }
+            let run = &run_replica;
+            let handles: Vec<_> = walks
+                .map(|(r, start)| {
+                    scope.spawn(move || {
+                        if trace::enabled() {
+                            trace::set_thread_label(format!("replica-{r}"));
+                        }
+                        run(r, start)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|walk| walk.join().expect("replica walk panicked"))
+                .collect()
+        })
+    };
+    // Strict `<` keeps the lowest index on cost ties, so the warm walk
+    // (the highest index) only wins by strictly improving on every cold
+    // walk.
+    let (best_idx, (cost, best)) = results
+        .into_iter()
+        .enumerate()
+        .reduce(|best, next| if next.1 .0 < best.1 .0 { next } else { best })
+        .expect("at least one walk");
     trace::counter("anneal.replicas", total as u64);
     trace::counter("anneal.replica_best", best_idx as u64);
-    trace::counter("anneal.warm_walks", 1);
-    trace::counter("anneal.warm_best", u64::from(best_idx == replicas));
-    *state = best.1;
-    best.0
+    if warm_walk {
+        trace::counter("anneal.warm_walks", 1);
+        trace::counter("anneal.warm_best", u64::from(best_idx == replicas));
+    }
+    *state = best;
+    cost
 }
 
 /// Runs the Metropolis loop, mutating `state` toward lower cost; returns
@@ -555,8 +495,15 @@ mod tests {
         let single_cost = anneal(&mut single, &sched, 7);
 
         let mut replica = SortState::new(20, 3);
-        let replica_cost =
-            anneal_replicas(&mut replica, &AnnealSchedule::quick(), 7, 1, 32, usize::MAX);
+        let replica_cost = anneal_replicas(
+            &mut replica,
+            None,
+            &AnnealSchedule::quick(),
+            7,
+            1,
+            32,
+            usize::MAX,
+        );
         assert_eq!(single_cost, replica_cost);
         assert_eq!(single.values, replica.values);
     }
@@ -568,7 +515,7 @@ mod tests {
         // is keyed on replica index, not completion order.
         let run = |work_size| {
             let mut s = SortState::new(20, 3);
-            let cost = anneal_replicas(&mut s, &AnnealSchedule::quick(), 7, 4, 32, work_size);
+            let cost = anneal_replicas(&mut s, None, &AnnealSchedule::quick(), 7, 4, 32, work_size);
             (cost, s.values)
         };
         let threaded = run(usize::MAX);
@@ -580,11 +527,25 @@ mod tests {
     #[test]
     fn replica_reduction_never_loses_to_the_single_walk() {
         let mut single = SortState::new(30, 5);
-        let single_cost =
-            anneal_replicas(&mut single, &AnnealSchedule::quick(), 9, 1, 32, usize::MAX);
+        let single_cost = anneal_replicas(
+            &mut single,
+            None,
+            &AnnealSchedule::quick(),
+            9,
+            1,
+            32,
+            usize::MAX,
+        );
         let mut multi = SortState::new(30, 5);
-        let multi_cost =
-            anneal_replicas(&mut multi, &AnnealSchedule::quick(), 9, 6, 32, usize::MAX);
+        let multi_cost = anneal_replicas(
+            &mut multi,
+            None,
+            &AnnealSchedule::quick(),
+            9,
+            6,
+            32,
+            usize::MAX,
+        );
         assert!(
             multi_cost <= single_cost,
             "best-of-6 ({multi_cost}) must not exceed replica 0's result ({single_cost})"
@@ -606,13 +567,14 @@ mod tests {
     fn warm_none_delegates_bit_for_bit() {
         let run_plain = || {
             let mut s = SortState::new(20, 3);
-            let cost = anneal_replicas(&mut s, &AnnealSchedule::quick(), 7, 3, 32, usize::MAX);
+            let cost =
+                anneal_replicas(&mut s, None, &AnnealSchedule::quick(), 7, 3, 32, usize::MAX);
             (cost, s.values)
         };
         let run_warm_none = || {
             let mut s = SortState::new(20, 3);
             let cost =
-                anneal_replicas_warm(&mut s, None, &AnnealSchedule::quick(), 7, 3, 32, usize::MAX);
+                anneal_replicas(&mut s, None, &AnnealSchedule::quick(), 7, 3, 32, usize::MAX);
             (cost, s.values)
         };
         assert_eq!(run_plain(), run_warm_none());
@@ -624,6 +586,7 @@ mod tests {
             let mut s = SortState::new(24, 5);
             anneal_replicas(
                 &mut s,
+                None,
                 &AnnealSchedule::quick(),
                 9,
                 replicas,
@@ -640,7 +603,7 @@ mod tests {
         let seed_cost = warm_seed.cost();
         for replicas in [1usize, 3] {
             let mut s = SortState::new(24, 5);
-            let warm_cost = anneal_replicas_warm(
+            let warm_cost = anneal_replicas(
                 &mut s,
                 Some(warm_seed.clone()),
                 &AnnealSchedule::quick(),
@@ -665,7 +628,7 @@ mod tests {
         let run = |work_size| {
             let mut s = SortState::new(20, 3);
             let warm = SortState::new(20, 11);
-            let cost = anneal_replicas_warm(
+            let cost = anneal_replicas(
                 &mut s,
                 Some(warm),
                 &AnnealSchedule::quick(),

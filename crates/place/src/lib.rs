@@ -47,7 +47,7 @@ pub mod postfix;
 pub mod row_model;
 
 pub use anneal::{
-    anneal, anneal_replicas, anneal_replicas_warm, replica_seed, AnnealSchedule, AnnealState,
+    anneal, anneal_replicas, replica_seed, AnnealSchedule, AnnealState,
     DEFAULT_REPLICA_WORK_THRESHOLD,
 };
 pub use placement::{place, PlaceParams, PlacedCell, PlacedModule, PlacedRow};

@@ -643,6 +643,7 @@ fn place_with(
     let initial_cost = state.cached_cost;
     let annealed_cost = anneal_replicas(
         &mut state,
+        None,
         &params.schedule,
         params.seed,
         params.replicas,

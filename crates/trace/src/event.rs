@@ -53,7 +53,10 @@ pub enum Event {
     },
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// `s` as a JSON string literal, quotes and escapes included.
+pub(crate) fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -67,14 +70,12 @@ fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+    out.push('"');
+    out
 }
 
 fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    escape_into(out, value);
-    out.push('"');
+    out.push_str(&format!("\"{key}\":{}", quoted(value)));
 }
 
 /// Formats an `f64` as a JSON number (shortest round-trip form; callers

@@ -25,6 +25,11 @@
 //! paths stay within measurement noise of uninstrumented ones. Span
 //! details are built lazily (closures) for the same reason.
 //!
+//! A sink [`install`]ed process-wide records every thread. A scoped sink
+//! ([`with_sink`]) records only the calling thread and the threads that
+//! work under one of its spans through [`span_under`], so a traced test
+//! never collects the events of an untraced test running beside it.
+//!
 //! # Example
 //!
 //! ```
@@ -53,7 +58,7 @@ pub mod report;
 mod sink;
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
@@ -76,11 +81,18 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// Span id allocator; 0 is reserved for "no parent".
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
+/// The last [`with_sink`] scope, named by an id reserved from
+/// [`NEXT_ID`] when it opened; 0 while a sink [`install`]ed for every
+/// thread is current. Spans opened in a scope carry ids above its name.
+static SCOPE: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
     /// Innermost open span on this thread (0 = none).
     static CURRENT: Cell<u64> = const { Cell::new(0) };
     /// Worker attribution label; falls back to the std thread name.
     static LABEL: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
+    /// The [`with_sink`] scope this thread records for.
+    static MEMBER: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Is a sink installed? One relaxed atomic load — instrumentation points
@@ -90,12 +102,19 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Installs `sink` as the process-wide event consumer and enables
+/// Installs `sink` as the event consumer of every thread and enables
 /// tracing. Replaces any previously installed sink.
 pub fn install(sink: Arc<dyn Sink>) {
+    install_in(sink, 0);
+}
+
+fn install_in(sink: Arc<dyn Sink>, scope: u64) {
     EPOCH.get_or_init(Instant::now);
+    SCOPE.store(scope, Ordering::Relaxed);
     *SINK.write().expect("trace sink lock poisoned") = Some(sink);
-    ENABLED.store(true, Ordering::Relaxed);
+    // Pairs with the fence in `recording`: a thread that sees tracing on
+    // sees the scope too.
+    ENABLED.store(true, Ordering::Release);
 }
 
 /// Disables tracing and drops the installed sink (flushing it first).
@@ -109,18 +128,37 @@ pub fn uninstall() {
     }
 }
 
-/// Runs `f` with `sink` installed, then uninstalls it. Scoped sinks are
-/// process-global state, so concurrent `with_sink` calls (parallel tests)
-/// are serialized behind an internal lock.
+/// Runs `f` with `sink` installed, then uninstalls it. The sink records
+/// only this thread and the threads working under one of its spans
+/// through [`span_under`]; other threads record nothing meanwhile.
+/// Concurrent `with_sink` calls (parallel tests) are serialized behind an
+/// internal lock.
 pub fn with_sink<T>(sink: Arc<dyn Sink>, f: impl FnOnce() -> T) -> T {
-    static SCOPE: Mutex<()> = Mutex::new(());
-    let _guard = SCOPE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    install(sink);
+    static LOCK: Mutex<()> = Mutex::new(());
+    let _guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let scope = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    let outer = MEMBER.with(|member| member.replace(scope));
+    install_in(sink, scope);
     let result = f();
     uninstall();
+    MEMBER.with(|member| member.set(outer));
     result
+}
+
+/// Does this thread record? Every thread does under [`install`]. Under
+/// [`with_sink`] the scope's members do: the calling thread, and a
+/// thread opening a span under one of the scope's spans (`parent`),
+/// which joins the scope. Called on the enabled path only.
+fn recording(parent: u64) -> bool {
+    fence(Ordering::Acquire);
+    let scope = SCOPE.load(Ordering::Relaxed);
+    scope == 0
+        || MEMBER.with(|member| {
+            if parent > scope {
+                member.set(scope);
+            }
+            member.get() == scope
+        })
 }
 
 /// Sets this thread's attribution label, shown as the `thread` field of
@@ -192,7 +230,7 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(data) = self.data.take() else { return };
         CURRENT.with(|current| current.set(data.parent));
-        if !enabled() {
+        if !enabled() || !recording(0) {
             return;
         }
         emit(Event::Span {
@@ -226,7 +264,7 @@ fn open_span(name: &'static str, detail: String, parent: u64) -> Span {
 /// thread. No-op (and allocation-free) when tracing is disabled.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    if !enabled() {
+    if !enabled() || !recording(0) {
         return Span { data: None };
     }
     let parent = CURRENT.with(|current| current.get());
@@ -237,7 +275,7 @@ pub fn span(name: &'static str) -> Span {
 /// label); `detail` is only invoked when tracing is enabled.
 #[inline]
 pub fn span_with(name: &'static str, detail: impl FnOnce() -> String) -> Span {
-    if !enabled() {
+    if !enabled() || !recording(0) {
         return Span { data: None };
     }
     let parent = CURRENT.with(|current| current.get());
@@ -246,10 +284,12 @@ pub fn span_with(name: &'static str, detail: impl FnOnce() -> String) -> Span {
 
 /// [`span_with`] under an explicit parent id instead of the thread's
 /// innermost span — the cross-thread variant for worker spans whose
-/// logical parent (the batch span) lives on the spawning thread.
+/// logical parent (the batch span) lives on the spawning thread. Under
+/// [`with_sink`], a worker opening a span under one of the scope's spans
+/// joins the scope and records from then on.
 #[inline]
 pub fn span_under(name: &'static str, parent: u64, detail: impl FnOnce() -> String) -> Span {
-    if !enabled() {
+    if !enabled() || !recording(parent) {
         return Span { data: None };
     }
     open_span(name, detail(), parent)
@@ -260,7 +300,7 @@ pub fn span_under(name: &'static str, parent: u64, detail: impl FnOnce() -> Stri
 /// tracing is disabled.
 #[inline]
 pub fn counter(name: &'static str, value: u64) {
-    if !enabled() {
+    if !enabled() || !recording(0) {
         return;
     }
     emit(Event::Counter {
@@ -275,7 +315,7 @@ pub fn counter(name: &'static str, value: u64) {
 /// disabled. Non-finite values are recorded as 0 to keep the JSON valid.
 #[inline]
 pub fn metric(name: &'static str, value: f64) {
-    if !enabled() {
+    if !enabled() || !recording(0) {
         return;
     }
     emit(Event::Metric {
@@ -385,6 +425,53 @@ mod tests {
         );
         assert_eq!(worker.thread, "worker-0");
         assert_eq!(inner.thread, "worker-0");
+    }
+
+    #[test]
+    fn scoped_sink_records_its_span_under_workers_but_no_unrelated_thread() {
+        let (go, wait) = std::sync::mpsc::channel::<()>();
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let bystander = std::thread::spawn(move || {
+            wait.recv().expect("scope opened");
+            {
+                let _s = span("bystander");
+                counter("bystander.count", 1);
+            }
+            done.send(()).expect("scope waits");
+        });
+        let collector = Arc::new(Collector::new());
+        with_sink(collector.clone(), || {
+            let root = span("root");
+            let root_id = root.id();
+            go.send(()).expect("bystander waits");
+            finished.recv().expect("bystander done");
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _unlinked = span("unlinked");
+                    counter("unlinked.count", 1);
+                });
+                scope.spawn(|| {
+                    {
+                        let _w = span_under("worker", root_id, String::new);
+                        let _inner = span("inner");
+                        counter("worker.count", 1);
+                    }
+                    counter("worker.after", 1);
+                });
+            });
+        });
+        bystander.join().expect("bystander exits");
+        let names = collector.span_names();
+        for recorded in ["root", "worker", "inner"] {
+            assert!(names.iter().any(|n| n == recorded), "{recorded}: {names:?}");
+        }
+        for dropped in ["bystander", "unlinked"] {
+            assert!(!names.iter().any(|n| n == dropped), "{dropped}: {names:?}");
+        }
+        assert_eq!(collector.counter_total("worker.count"), 1);
+        assert_eq!(collector.counter_total("worker.after"), 1);
+        assert_eq!(collector.counter_total("bystander.count"), 0);
+        assert_eq!(collector.counter_total("unlinked.count"), 0);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Folding a JSON-lines trace into a per-stage timing summary — the
 //! machine-readable `BENCH_<label>.json` perf-trajectory artifact.
 //!
-//! The reader is a deliberately small parser for the flat single-object
-//! lines this crate's [`Event::to_json_line`] emits (it tolerates unknown
-//! keys and arbitrary key order, rejects anything structurally deeper).
+//! One deliberately small JSON reader serves both directions: the flat
+//! single-object lines this crate's [`Event::to_json_line`] emits (unknown
+//! keys and any key order tolerated, nested values rejected) and the
+//! nested `BENCH_<label>.json` reports [`PerfReport::to_json`] writes.
 
 use std::collections::BTreeMap;
 
-use crate::event::format_f64;
+use crate::event::{format_f64, quoted};
 use crate::Event;
 
 /// A malformed trace line.
@@ -27,123 +28,7 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-}
-
-/// Parses one flat JSON object (`{"key":"str","key2":123,…}`) into its
-/// fields. Returns an error message on structural problems.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut chars = line.trim().char_indices().peekable();
-    let text = line.trim();
-    let mut fields = Vec::new();
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-        while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
-    }
-
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Result<String, String> {
-        match chars.next() {
-            Some((_, '"')) => {}
-            other => return Err(format!("expected string, found {other:?}")),
-        }
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let (_, h) = chars.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + h.to_digit(16)
-                                    .ok_or_else(|| format!("bad hex digit `{h}` in \\u escape"))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some((_, c)) => out.push(c),
-                None => return Err("unterminated string".to_owned()),
-            }
-        }
-    }
-
-    skip_ws(&mut chars);
-    match chars.next() {
-        Some((_, '{')) => {}
-        _ => return Err("expected `{`".to_owned()),
-    }
-    skip_ws(&mut chars);
-    if matches!(chars.peek(), Some((_, '}'))) {
-        chars.next();
-    } else {
-        loop {
-            skip_ws(&mut chars);
-            let key = parse_string(&mut chars)?;
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some((_, ':')) => {}
-                other => return Err(format!("expected `:` after key, found {other:?}")),
-            }
-            skip_ws(&mut chars);
-            let value = match chars.peek() {
-                Some((_, '"')) => Value::Str(parse_string(&mut chars)?),
-                Some(&(start, c)) if c == '-' || c.is_ascii_digit() => {
-                    let mut end = start;
-                    while let Some(&(i, c)) = chars.peek() {
-                        if c == '-'
-                            || c == '+'
-                            || c == '.'
-                            || c == 'e'
-                            || c == 'E'
-                            || c.is_ascii_digit()
-                        {
-                            end = i + c.len_utf8();
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                    let number = &text[start..end];
-                    Value::Num(
-                        number
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad number `{number}`"))?,
-                    )
-                }
-                other => return Err(format!("unsupported value start {other:?}")),
-            };
-            fields.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some((_, ',')) => continue,
-                Some((_, '}')) => break,
-                other => return Err(format!("expected `,` or `}}`, found {other:?}")),
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    if let Some((_, c)) = chars.next() {
-        return Err(format!("trailing content starting at `{c}`"));
-    }
-    Ok(fields)
-}
-
-/// A nested JSON value, as far as the `BENCH_<label>.json` schema needs:
+/// A parsed JSON value, as far as the trace and report schemas need:
 /// objects, arrays, strings and numbers (no booleans or nulls).
 #[derive(Debug, Clone, PartialEq)]
 enum Json {
@@ -161,84 +46,132 @@ impl Json {
         }
     }
 
+    fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field `{key}`"))
+    }
+
     fn str_of(&self, key: &str) -> Result<String, String> {
-        match self.get(key) {
-            Some(Json::Str(s)) => Ok(s.clone()),
-            Some(_) => Err(format!("field `{key}` must be a string")),
-            None => Err(format!("missing field `{key}`")),
+        match self.field(key)? {
+            Json::Str(s) => Ok(s.clone()),
+            _ => Err(format!("field `{key}` must be a string")),
+        }
+    }
+
+    fn f64_of(&self, key: &str) -> Result<f64, String> {
+        match self.field(key)? {
+            Json::Num(n) => Ok(*n),
+            _ => Err(format!("field `{key}` must be a number")),
         }
     }
 
     fn u64_of(&self, key: &str) -> Result<u64, String> {
+        match self.field(key)? {
+            Json::Num(n) if *n >= 0.0 => Ok(*n as u64),
+            _ => Err(format!("field `{key}` must be a non-negative number")),
+        }
+    }
+
+    /// The array under `key`, or `None` when the key is absent.
+    fn items(&self, key: &str) -> Result<Option<&[Json]>, String> {
         match self.get(key) {
-            Some(Json::Num(n)) if *n >= 0.0 => Ok(*n as u64),
-            Some(_) => Err(format!("field `{key}` must be a non-negative number")),
-            None => Err(format!("missing field `{key}`")),
+            Some(Json::Arr(items)) => Ok(Some(items)),
+            Some(_) => Err(format!("field `{key}` must be an array")),
+            None => Ok(None),
+        }
+    }
+
+    fn entries(&self, key: &str) -> Result<&[(String, Json)], String> {
+        match self.field(key)? {
+            Json::Obj(fields) => Ok(fields),
+            _ => Err(format!("field `{key}` must be an object")),
         }
     }
 }
 
-/// Parses one nested JSON document (the report schema subset).
+type Chars<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
+
+/// Parses one JSON document (the trace-line and report schema subset).
 fn parse_json(text: &str) -> Result<Json, String> {
     let mut chars = text.char_indices().peekable();
     let value = parse_json_value(text, &mut chars)?;
-    while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
+    skip_ws(&mut chars);
     if let Some((_, c)) = chars.next() {
         return Err(format!("trailing content starting at `{c}`"));
     }
     Ok(value)
 }
 
-fn parse_json_value(
-    text: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-) -> Result<Json, String> {
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-        while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
+fn skip_ws(chars: &mut Chars<'_>) {
+    while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
+        chars.next();
     }
+}
 
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Result<String, String> {
+fn parse_string(chars: &mut Chars<'_>) -> Result<String, String> {
+    match chars.next() {
+        Some((_, '"')) => {}
+        other => return Err(format!("expected string, found {other:?}")),
+    }
+    let mut out = String::new();
+    loop {
         match chars.next() {
-            Some((_, '"')) => {}
-            other => return Err(format!("expected string, found {other:?}")),
-        }
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some((_, c)) => out.push(c),
-                None => return Err("unterminated string".to_owned()),
-            }
+            Some((_, '"')) => return Ok(out),
+            Some((_, '\\')) => match chars.next() {
+                Some((_, '"')) => out.push('"'),
+                Some((_, '\\')) => out.push('\\'),
+                Some((_, '/')) => out.push('/'),
+                Some((_, 'n')) => out.push('\n'),
+                Some((_, 'r')) => out.push('\r'),
+                Some((_, 't')) => out.push('\t'),
+                Some((_, 'u')) => {
+                    let mut code = 0u32;
+                    for _ in 0..4 {
+                        let (_, h) = chars.next().ok_or("truncated \\u escape")?;
+                        code = code * 16
+                            + h.to_digit(16)
+                                .ok_or_else(|| format!("bad hex digit `{h}` in \\u escape"))?;
+                    }
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                }
+                other => return Err(format!("bad escape {other:?}")),
+            },
+            Some((_, c)) => out.push(c),
+            None => return Err("unterminated string".to_owned()),
         }
     }
+}
 
+/// Consumes an array or object: the opening bracket, then
+/// comma-separated `item`s up to `close`.
+fn parse_items(
+    chars: &mut Chars<'_>,
+    close: char,
+    mut item: impl FnMut(&mut Chars<'_>) -> Result<(), String>,
+) -> Result<(), String> {
+    chars.next();
+    skip_ws(chars);
+    if chars.next_if(|&(_, c)| c == close).is_some() {
+        return Ok(());
+    }
+    loop {
+        item(chars)?;
+        skip_ws(chars);
+        match chars.next() {
+            Some((_, ',')) => {}
+            Some((_, c)) if c == close => return Ok(()),
+            other => return Err(format!("expected `,` or `{close}`, found {other:?}")),
+        }
+    }
+}
+
+fn parse_json_value(text: &str, chars: &mut Chars<'_>) -> Result<Json, String> {
     skip_ws(chars);
     match chars.peek() {
         Some((_, '"')) => Ok(Json::Str(parse_string(chars)?)),
         Some((_, '{')) => {
-            chars.next();
             let mut fields = Vec::new();
-            skip_ws(chars);
-            if matches!(chars.peek(), Some((_, '}'))) {
-                chars.next();
-                return Ok(Json::Obj(fields));
-            }
-            loop {
+            parse_items(chars, '}', |chars| {
                 skip_ws(chars);
                 let key = parse_string(chars)?;
                 skip_ws(chars);
@@ -247,31 +180,17 @@ fn parse_json_value(
                     other => return Err(format!("expected `:` after key, found {other:?}")),
                 }
                 fields.push((key, parse_json_value(text, chars)?));
-                skip_ws(chars);
-                match chars.next() {
-                    Some((_, ',')) => continue,
-                    Some((_, '}')) => return Ok(Json::Obj(fields)),
-                    other => return Err(format!("expected `,` or `}}`, found {other:?}")),
-                }
-            }
+                Ok(())
+            })?;
+            Ok(Json::Obj(fields))
         }
         Some((_, '[')) => {
-            chars.next();
             let mut items = Vec::new();
-            skip_ws(chars);
-            if matches!(chars.peek(), Some((_, ']'))) {
-                chars.next();
-                return Ok(Json::Arr(items));
-            }
-            loop {
+            parse_items(chars, ']', |chars| {
                 items.push(parse_json_value(text, chars)?);
-                skip_ws(chars);
-                match chars.next() {
-                    Some((_, ',')) => continue,
-                    Some((_, ']')) => return Ok(Json::Arr(items)),
-                    other => return Err(format!("expected `,` or `]`, found {other:?}")),
-                }
-            }
+                Ok(())
+            })?;
+            Ok(Json::Arr(items))
         }
         Some(&(start, c)) if c == '-' || c.is_ascii_digit() => {
             let mut end = start;
@@ -294,34 +213,6 @@ fn parse_json_value(
     }
 }
 
-fn field<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn str_field(fields: &[(String, Value)], key: &str) -> Result<String, String> {
-    match field(fields, key) {
-        Some(Value::Str(s)) => Ok(s.clone()),
-        Some(Value::Num(_)) => Err(format!("field `{key}` must be a string")),
-        None => Err(format!("missing field `{key}`")),
-    }
-}
-
-fn u64_field(fields: &[(String, Value)], key: &str) -> Result<u64, String> {
-    match field(fields, key) {
-        Some(Value::Num(n)) if *n >= 0.0 => Ok(*n as u64),
-        Some(_) => Err(format!("field `{key}` must be a non-negative number")),
-        None => Err(format!("missing field `{key}`")),
-    }
-}
-
-fn f64_field(fields: &[(String, Value)], key: &str) -> Result<f64, String> {
-    match field(fields, key) {
-        Some(Value::Num(n)) => Ok(*n),
-        Some(Value::Str(_)) => Err(format!("field `{key}` must be a number")),
-        None => Err(format!("missing field `{key}`")),
-    }
-}
-
 /// Parses one JSON-lines trace event.
 ///
 /// # Errors
@@ -329,26 +220,37 @@ fn f64_field(fields: &[(String, Value)], key: &str) -> Result<f64, String> {
 /// Returns the structural or schema problem as a message (the caller adds
 /// the line number).
 pub fn parse_event(line: &str) -> Result<Event, String> {
-    let fields = parse_flat_object(line)?;
-    match str_field(&fields, "type")?.as_str() {
+    let event = parse_json(line)?;
+    match &event {
+        Json::Obj(fields) => {
+            if let Some((key, _)) = fields
+                .iter()
+                .find(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)))
+            {
+                return Err(format!("field `{key}` must be a string or a number"));
+            }
+        }
+        _ => return Err("expected `{`".to_owned()),
+    }
+    match event.str_of("type")?.as_str() {
         "span" => Ok(Event::Span {
-            id: u64_field(&fields, "id")?,
-            parent: u64_field(&fields, "parent")?,
-            name: str_field(&fields, "name")?,
-            detail: str_field(&fields, "detail").unwrap_or_default(),
-            thread: str_field(&fields, "thread")?,
-            start_us: u64_field(&fields, "start_us")?,
-            dur_us: u64_field(&fields, "dur_us")?,
+            id: event.u64_of("id")?,
+            parent: event.u64_of("parent")?,
+            name: event.str_of("name")?,
+            detail: event.str_of("detail").unwrap_or_default(),
+            thread: event.str_of("thread")?,
+            start_us: event.u64_of("start_us")?,
+            dur_us: event.u64_of("dur_us")?,
         }),
         "counter" => Ok(Event::Counter {
-            name: str_field(&fields, "name")?,
-            value: u64_field(&fields, "value")?,
-            thread: str_field(&fields, "thread")?,
+            name: event.str_of("name")?,
+            value: event.u64_of("value")?,
+            thread: event.str_of("thread")?,
         }),
         "metric" => Ok(Event::Metric {
-            name: str_field(&fields, "name")?,
-            value: f64_field(&fields, "value")?,
-            thread: str_field(&fields, "thread")?,
+            name: event.str_of("name")?,
+            value: event.f64_of("value")?,
+            thread: event.str_of("thread")?,
         }),
         other => Err(format!("unknown event type `{other}`")),
     }
@@ -573,6 +475,15 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// The body lines of one pretty-printed JSON array or object.
+fn rows(items: impl ExactSizeIterator<Item = String>) -> String {
+    let last = items.len().saturating_sub(1);
+    items
+        .enumerate()
+        .map(|(i, item)| format!("    {item}{}\n", if i < last { "," } else { "" }))
+        .collect()
+}
+
 impl PerfReport {
     /// Parses and folds a JSON-lines trace in one step.
     ///
@@ -592,73 +503,54 @@ impl PerfReport {
     /// Returns the structural or schema problem as a message.
     pub fn from_json(text: &str) -> Result<PerfReport, String> {
         let root = parse_json(text)?;
-        let mut stages = Vec::new();
-        match root.get("stages") {
-            Some(Json::Arr(items)) => {
-                for item in items {
-                    stages.push(StageSummary {
-                        name: item.str_of("name")?,
-                        count: item.u64_of("count")?,
-                        total_us: item.u64_of("total_us")?,
-                        self_us: item.u64_of("self_us")?,
-                    });
-                }
-            }
-            Some(_) => return Err("field `stages` must be an array".to_owned()),
-            None => return Err("missing field `stages`".to_owned()),
-        }
+        let stages = root
+            .items("stages")?
+            .ok_or("missing field `stages`")?
+            .iter()
+            .map(|item| {
+                Ok(StageSummary {
+                    name: item.str_of("name")?,
+                    count: item.u64_of("count")?,
+                    total_us: item.u64_of("total_us")?,
+                    self_us: item.u64_of("self_us")?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
         // Optional: baselines predating serve-mode carry no latency rows.
-        let mut latencies = Vec::new();
-        match root.get("latencies") {
-            Some(Json::Arr(items)) => {
-                for item in items {
-                    let rps = match item.get("rps") {
-                        Some(Json::Num(n)) if *n >= 0.0 => *n,
-                        Some(_) => return Err("field `rps` must be a non-negative number".into()),
-                        None => return Err("missing field `rps`".to_owned()),
-                    };
-                    latencies.push(LatencySummary {
-                        name: item.str_of("name")?,
-                        count: item.u64_of("count")?,
-                        p50_us: item.u64_of("p50_us")?,
-                        p99_us: item.u64_of("p99_us")?,
-                        rps,
-                    });
+        let latencies = root
+            .items("latencies")?
+            .unwrap_or_default()
+            .iter()
+            .map(|item| {
+                let rps = item.f64_of("rps")?;
+                if rps < 0.0 {
+                    return Err("field `rps` must be a non-negative number".to_owned());
                 }
-            }
-            Some(_) => return Err("field `latencies` must be an array".to_owned()),
-            None => {}
-        }
-        let mut counters = BTreeMap::new();
-        match root.get("counters") {
-            Some(Json::Obj(fields)) => {
-                for (name, value) in fields {
-                    match value {
-                        Json::Num(n) if *n >= 0.0 => {
-                            counters.insert(name.clone(), *n as u64);
-                        }
-                        _ => return Err(format!("counter `{name}` must be a non-negative number")),
-                    }
-                }
-            }
-            Some(_) => return Err("field `counters` must be an object".to_owned()),
-            None => return Err("missing field `counters`".to_owned()),
-        }
-        let mut metrics = BTreeMap::new();
-        match root.get("metrics") {
-            Some(Json::Obj(fields)) => {
-                for (name, value) in fields {
-                    match value {
-                        Json::Num(n) => {
-                            metrics.insert(name.clone(), *n);
-                        }
-                        _ => return Err(format!("metric `{name}` must be a number")),
-                    }
-                }
-            }
-            Some(_) => return Err("field `metrics` must be an object".to_owned()),
-            None => return Err("missing field `metrics`".to_owned()),
-        }
+                Ok(LatencySummary {
+                    name: item.str_of("name")?,
+                    count: item.u64_of("count")?,
+                    p50_us: item.u64_of("p50_us")?,
+                    p99_us: item.u64_of("p99_us")?,
+                    rps,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        let counters = root
+            .entries("counters")?
+            .iter()
+            .map(|(name, value)| match value {
+                Json::Num(n) if *n >= 0.0 => Ok((name.clone(), *n as u64)),
+                _ => Err(format!("counter `{name}` must be a non-negative number")),
+            })
+            .collect::<Result<_, String>>()?;
+        let metrics = root
+            .entries("metrics")?
+            .iter()
+            .map(|(name, value)| match value {
+                Json::Num(n) => Ok((name.clone(), *n)),
+                _ => Err(format!("metric `{name}` must be a number")),
+            })
+            .collect::<Result<_, String>>()?;
         Ok(PerfReport {
             label: root.str_of("label")?,
             wall_us: root.u64_of("wall_us")?,
@@ -673,52 +565,43 @@ impl PerfReport {
     /// Serializes the report as pretty-printed JSON — the
     /// `BENCH_<label>.json` artifact CI diffs across PRs.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"label\": \"{}\",\n", self.label));
-        out.push_str(&format!("  \"wall_us\": {},\n", self.wall_us));
-        out.push_str(&format!("  \"work_us\": {},\n", self.work_us));
-        out.push_str("  \"stages\": [\n");
-        for (i, s) in self.stages.iter().enumerate() {
-            let comma = if i + 1 < self.stages.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"total_us\": {}, \"self_us\": {}}}{comma}\n",
-                s.name, s.count, s.total_us, s.self_us
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"latencies\": [\n");
-        for (i, l) in self.latencies.iter().enumerate() {
-            let comma = if i + 1 < self.latencies.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-                 \"rps\": {}}}{comma}\n",
-                l.name,
+        let stages = rows(self.stages.iter().map(|s| {
+            format!(
+                "{{\"name\": {}, \"count\": {}, \"total_us\": {}, \"self_us\": {}}}",
+                quoted(&s.name),
+                s.count,
+                s.total_us,
+                s.self_us
+            )
+        }));
+        let latencies = rows(self.latencies.iter().map(|l| {
+            format!(
+                "{{\"name\": {}, \"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"rps\": {}}}",
+                quoted(&l.name),
                 l.count,
                 l.p50_us,
                 l.p99_us,
                 format_f64(l.rps)
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"counters\": {\n");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            let comma = if i + 1 < self.counters.len() { "," } else { "" };
-            out.push_str(&format!("    \"{name}\": {value}{comma}\n"));
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"metrics\": {\n");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            out.push_str(&format!("    \"{name}\": {}{comma}\n", format_f64(*value)));
-        }
-        out.push_str("  }\n");
-        out.push('}');
-        out
+            )
+        }));
+        let counters = rows(
+            self.counters
+                .iter()
+                .map(|(name, value)| format!("{}: {value}", quoted(name))),
+        );
+        let metrics = rows(
+            self.metrics
+                .iter()
+                .map(|(name, value)| format!("{}: {}", quoted(name), format_f64(*value))),
+        );
+        format!(
+            "{{\n  \"label\": {},\n  \"wall_us\": {},\n  \"work_us\": {},\n  \
+             \"stages\": [\n{stages}  ],\n  \"latencies\": [\n{latencies}  ],\n  \
+             \"counters\": {{\n{counters}  }},\n  \"metrics\": {{\n{metrics}  }}\n}}",
+            quoted(&self.label),
+            self.wall_us,
+            self.work_us,
+        )
     }
 
     /// Merges another folded run into this report, as if the two runs had
@@ -1211,6 +1094,35 @@ mod tests {
         ];
         let report = fold(&events, "pr4");
         let back = PerfReport::from_json(&report.to_json()).expect("parses own output");
+        assert_eq!(back, report);
+    }
+
+    #[test]
+    fn parse_event_rejects_nested_values() {
+        for nested in [
+            "{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"thread\":\"t\",\"extra\":[1]}",
+            "{\"type\":\"counter\",\"name\":\"c\",\"value\":{\"n\":1},\"thread\":\"t\"}",
+            "[{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"thread\":\"t\"}]",
+        ] {
+            assert!(parse_event(nested).is_err(), "accepted: {nested}");
+        }
+    }
+
+    #[test]
+    fn report_strings_are_escaped_and_round_trip() {
+        let mut report = fold(&[span(1, 0, "stage \"q\"\u{1}", 0, 10)], "a\"b\u{1}");
+        report.counters.insert("c\"\n".to_owned(), 3);
+        report.metrics.insert("m\\".to_owned(), 1.5);
+        report.latencies.push(LatencySummary {
+            name: "serve.request:\"x\"".to_owned(),
+            count: 1,
+            p50_us: 2,
+            p99_us: 3,
+            rps: 4.0,
+        });
+        let json = report.to_json();
+        assert!(json.contains("\"label\": \"a\\\"b\\u0001\""), "{json}");
+        let back = PerfReport::from_json(&json).expect("parses own output");
         assert_eq!(back, report);
     }
 

@@ -4,7 +4,8 @@
 #   ./scripts/check.sh
 #
 # Runs formatting, the release build, the full test suite (goldens in
-# verify-only mode), and clippy (warnings are errors) over the workspace.
+# verify-only mode), the benchmark harness's tests, and clippy (warnings
+# are errors) over the workspace.
 # Golden fixtures — the reproduced paper tables and the trace-event
 # schema — are compared byte-for-byte here; regenerate intentionally
 # changed ones with
@@ -34,6 +35,13 @@ echo "==> cargo test -q (goldens verify-only)"
 # must *verify* fixtures, never silently rewrite them. Regeneration is a
 # deliberate, reviewed step (see header).
 env -u UPDATE_GOLDEN cargo test -q
+
+echo "==> cargo test --manifest-path perfbench/Cargo.toml"
+# The benchmark harness is a workspace of its own, so the root build
+# never compiles it, yet it links the cache, fingerprint and pipeline
+# APIs. Building and testing it here makes an API change that breaks the
+# benchmark fail this gate.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy (first-party crates) -- -D warnings"
 cargo clippy --all-targets "${FIRST_PARTY[@]}" -- -D warnings
