@@ -14,8 +14,9 @@
 //! comparison the paper motivates ("trial floor plans for comparing the
 //! various different layout methodologies").
 
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use maestro_netlist::{
     diff, mnl, CacheStats, LayoutStyle, Module, ModuleFingerprint, NetlistDiff, NetlistError,
@@ -30,19 +31,21 @@ use crate::results_cache::{params_digest, ResultsCache};
 use crate::standard_cell::ScParams;
 use crate::{full_custom, standard_cell};
 
-/// Below this many total nets in a batch, [`Pipeline::run_all_parallel`]
-/// takes the serial path regardless of the requested job count: thread
-/// spawning costs more than estimating a hand-full of nets (the Table 1
-/// suite alone carries ~80 nets and stays parallel).
+/// Below this many total nets, a batch that fits one wave stays in the
+/// calling thread of the batch engine ([`Pipeline::run_all_streaming`])
+/// regardless of the requested job count: thread spawning costs more than
+/// estimating a hand-full of nets (the Table 1 suite alone carries ~80
+/// nets and stays parallel).
 pub const DEFAULT_PARALLEL_NET_THRESHOLD: usize = 48;
 
-/// Ceiling on the per-shard net budget work dispatch uses. Batches are cut
-/// into shards of consecutive modules totalling at most
-/// `min(DEFAULT_SHARD_NET_BUDGET, ceil(total_nets / jobs))` nets (always
+/// Ceiling on the per-shard net budget work dispatch uses. The batch
+/// engine pulls waves of about `jobs ×` this many nets and cuts each into
+/// shards of consecutive modules totalling at most
+/// `min(DEFAULT_SHARD_NET_BUDGET, ceil(wave_nets / jobs))` nets (always
 /// at least one module), so a 10^5-module batch of tiny modules dispatches
-/// a few hundred chunky shards instead of contending on the work counter
-/// once per module, while worker count follows the net workload rather
-/// than the module count.
+/// chunky shards instead of contending on the work counter once per
+/// module, while worker count follows the net workload rather than the
+/// module count.
 pub const DEFAULT_SHARD_NET_BUDGET: usize = 4096;
 
 /// Totals of a [`Pipeline::run_all_streaming`] batch: what flowed through
@@ -217,16 +220,16 @@ impl Pipeline {
         self
     }
 
-    /// Overrides the net-count threshold below which
-    /// [`Pipeline::run_all_parallel`] stays serial (`0` always fans out).
+    /// Overrides the net-count threshold below which a one-wave batch
+    /// stays in the calling thread (`0` always fans out when `jobs > 1`).
     pub fn with_parallel_threshold(mut self, total_nets: usize) -> Self {
         self.parallel_net_threshold = total_nets;
         self
     }
 
     /// Overrides the per-shard net-budget ceiling
-    /// ([`DEFAULT_SHARD_NET_BUDGET`]) parallel dispatch cuts batches with.
-    /// `0` is treated as `1` (every module its own shard).
+    /// ([`DEFAULT_SHARD_NET_BUDGET`]) the batch engine sizes waves and cuts
+    /// shards with. `0` is treated as `1` (every module its own shard).
     pub fn with_shard_net_budget(mut self, nets: usize) -> Self {
         self.shard_net_budget = nets.max(1);
         self
@@ -345,7 +348,9 @@ impl Pipeline {
     }
 
     /// Estimates a set of modules into a results database — the chip-level
-    /// run that feeds the floorplanner.
+    /// run that feeds the floorplanner. An adapter: the batch engine
+    /// ([`Pipeline::run_all_streaming`]) at one job, estimating every
+    /// module in the calling thread.
     ///
     /// # Errors
     ///
@@ -354,24 +359,7 @@ impl Pipeline {
     where
         I: IntoIterator<Item = &'m Module>,
     {
-        let modules: Vec<&Module> = modules.into_iter().collect();
-        let _batch = trace::span_with("pipeline.run_all", || {
-            format!("serial modules={}", modules.len())
-        });
-        let before = self.prob_snapshot();
-        let mut db = ResultsDb::new();
-        let mut outcome = Ok(());
-        for m in modules {
-            match self.run_module(m) {
-                Ok(record) => db.insert(record),
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-        }
-        self.emit_prob_delta(before);
-        outcome.map(|()| db)
+        self.run_all_parallel(modules, 1)
     }
 
     /// Snapshot of the probability-table counters, taken only when a
@@ -392,24 +380,11 @@ impl Pipeline {
         }
     }
 
-    /// [`Pipeline::run_all`] fanned out over worker threads.
-    ///
-    /// The batch is cut into *shards* — runs of consecutive modules whose
-    /// nets sum to at most `min(`[`DEFAULT_SHARD_NET_BUDGET`]`,
-    /// ceil(total_nets / jobs))` — and workers pull shards from a shared
-    /// counter, so cheap and expensive modules interleave while dispatch
-    /// contention scales with the net workload rather than the module
-    /// count. At most `min(jobs, shard_count)` workers spawn: worker
-    /// count follows how much net-work the batch carries, where it used
-    /// to be clamped to `modules.len()`. All workers memoize into this
-    /// pipeline's one probability table; results are merged in the
-    /// modules' original order, so the produced [`ResultsDb`] — and its
-    /// JSON serialization — is identical to the serial run's. `jobs <= 1`
-    /// degenerates to the serial loop, as do batches totalling fewer nets
-    /// than the pipeline's parallel threshold
-    /// ([`DEFAULT_PARALLEL_NET_THRESHOLD`] unless overridden via
-    /// [`Pipeline::with_parallel_threshold`]) — thread spawn cost swamps
-    /// the estimation work on tiny batches.
+    /// [`Pipeline::run_all`] over up to `jobs` worker threads. An adapter:
+    /// the batch engine ([`Pipeline::run_all_streaming`]) with a sink that
+    /// fills a [`ResultsDb`]. The engine emits records in module order, so
+    /// the database — and its JSON serialization — is identical to the
+    /// serial run's for every job count.
     ///
     /// # Errors
     ///
@@ -424,46 +399,23 @@ impl Pipeline {
     where
         I: IntoIterator<Item = &'m Module>,
     {
-        let modules: Vec<&Module> = modules.into_iter().collect();
-        let net_counts: Vec<usize> = modules.iter().map(|m| m.net_count()).collect();
-        let total_nets: usize = net_counts.iter().sum();
-        if jobs <= 1 || total_nets < self.parallel_net_threshold {
-            return self.run_all(modules);
-        }
-        let shards = plan_shards(&net_counts, jobs, self.shard_net_budget);
-        let workers = jobs.min(shards.len());
-        let batch = trace::span_with("pipeline.run_all", || {
-            format!(
-                "jobs={workers} modules={} shards={}",
-                modules.len(),
-                shards.len()
-            )
-        });
-        let batch_id = batch.id();
-        let before = self.prob_snapshot();
-        let slots: Vec<Mutex<Option<Result<EstimateRecord, NetlistError>>>> =
-            modules.iter().map(|_| Mutex::new(None)).collect();
-        self.run_shards(&modules, &shards, workers, batch_id, &slots);
-        self.emit_prob_delta(before);
         let mut db = ResultsDb::new();
-        for slot in slots {
-            let result = slot
-                .into_inner()
-                .expect("result slot poisoned")
-                .expect("every module was estimated");
-            db.insert(result?);
-        }
+        self.run_all_streaming(modules, jobs, |record| {
+            db.insert(record);
+            Ok(())
+        })?;
         Ok(db)
     }
 
-    /// Re-estimates a revision against the previous one: fingerprints
-    /// every module, diffs against `prev` (emitting `netlist.diff.*`
-    /// counters), then runs the batch through [`Pipeline::run_all_parallel`].
-    /// With a results cache attached ([`Pipeline::with_results_cache`])
-    /// the unchanged modules are served from the memo and only the
-    /// modified/added slice pays estimation cost; the produced database
-    /// is byte-identical to a cold batch either way, because cache hits
-    /// replay the exact record the cold run would compute.
+    /// Re-estimates a revision against the previous one. An adapter:
+    /// fingerprints every module into this revision's manifest, diffs it
+    /// against `prev` (emitting `netlist.diff.*` counters), then runs the
+    /// batch through [`Pipeline::run_all_parallel`]. With a results cache
+    /// attached ([`Pipeline::with_results_cache`]) the unchanged modules
+    /// are served from the memo and only the modified/added slice pays
+    /// estimation cost; the produced database is byte-identical to a cold
+    /// batch either way, because cache hits replay the exact record the
+    /// cold run would compute.
     ///
     /// # Errors
     ///
@@ -489,64 +441,81 @@ impl Pipeline {
         })
     }
 
-    /// The shared parallel engine: `workers` scoped threads pull shard
-    /// indices from a counter and estimate every module of their shard
-    /// into `slots`. Worker spans parent to `batch_id` explicitly — the
-    /// spawning thread's span stack is not visible from inside a worker
-    /// thread.
-    fn run_shards(
+    /// The one worker pool: cuts a wave into net-budget shards
+    /// ([`plan_shards`]) and runs `min(jobs, shards)` scoped threads that
+    /// pull shard indices from a counter, so cheap and expensive modules
+    /// interleave while dispatch contention follows the net workload
+    /// rather than the module count. Returns the wave's results in module
+    /// order. Worker spans parent to `batch_id` explicitly — the spawning
+    /// thread's span stack is not visible from inside a worker thread.
+    fn run_shards<M: Borrow<Module> + Sync>(
         &self,
-        modules: &[&Module],
-        shards: &[std::ops::Range<usize>],
-        workers: usize,
+        wave: &[M],
+        net_counts: &[usize],
+        jobs: usize,
         batch_id: u64,
-        slots: &[Mutex<Option<Result<EstimateRecord, NetlistError>>>],
-    ) {
+    ) -> Vec<Result<EstimateRecord, NetlistError>> {
+        let shards = plan_shards(net_counts, jobs, self.shard_net_budget);
         let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let next = &next;
-                scope.spawn(move || {
-                    if trace::enabled() {
-                        trace::set_thread_label(format!("worker-{w}"));
-                    }
-                    let _worker = trace::span_under("pipeline.worker", batch_id, String::new);
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(shard) = shards.get(s) else { break };
-                        for i in shard.clone() {
-                            let result = self.run_module(modules[i]);
-                            *slots[i].lock().expect("result slot poisoned") = Some(result);
+        let mut done: Vec<(usize, Vec<_>)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..jobs.min(shards.len()))
+                .map(|w| {
+                    let (next, shards) = (&next, &shards);
+                    scope.spawn(move || {
+                        if trace::enabled() {
+                            trace::set_thread_label(format!("worker-{w}"));
                         }
-                    }
-                });
-            }
+                        let _worker = trace::span_under("pipeline.worker", batch_id, String::new);
+                        let mut done = Vec::new();
+                        while let Some(shard) = shards.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let records = shard.clone().map(|i| self.run_module(wave[i].borrow()));
+                            done.push((shard.start, records.collect()));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("pipeline worker panicked"))
+                .collect()
         });
+        done.sort_unstable_by_key(|&(start, _)| start);
+        done.into_iter().flat_map(|(_, records)| records).collect()
     }
 
-    /// Estimates a stream of modules, emitting each [`EstimateRecord`]
-    /// through `sink` in module order instead of accumulating a
-    /// [`ResultsDb`] — the memory-bounded batch path: peak residency is
-    /// one in-flight *wave* of modules (at most `jobs ×`
-    /// [`DEFAULT_SHARD_NET_BUDGET`] nets, one module minimum) plus one
-    /// record, regardless of how many modules the stream yields. A
-    /// million-device generated chip estimates to completion in a bounded
-    /// footprint where `run_all` would hold every module and every record
-    /// at once.
+    /// The batch engine every other batch entry point adapts: estimates a
+    /// stream of modules (owned, or borrowed from an in-memory batch),
+    /// emitting each [`EstimateRecord`] through `sink` in module order.
     ///
-    /// `jobs <= 1` estimates strictly one module at a time. `jobs > 1`
-    /// pulls a wave of modules, fans it out over the sharded worker pool
-    /// (same engine as [`Pipeline::run_all_parallel`]), then emits the
-    /// wave's records in order before pulling the next — so the sink
-    /// observes exactly the serial emission order and a collected stream
-    /// is byte-identical to the in-memory run's JSON.
+    /// The engine pulls the stream one *wave* at a time — modules until
+    /// their nets reach `jobs ×` [`DEFAULT_SHARD_NET_BUDGET`] (or the
+    /// [`Pipeline::with_shard_net_budget`] override), one module minimum
+    /// — and estimates the whole wave before pulling the next, so peak
+    /// residency is one wave of modules plus its records, regardless of
+    /// how many modules the stream yields. A million-device generated
+    /// chip estimates to completion in a bounded footprint.
+    ///
+    /// A wave runs in the calling thread, one module at a time, when
+    /// `jobs <= 1`, or when the whole batch is one wave carrying fewer
+    /// nets than the parallel threshold ([`DEFAULT_PARALLEL_NET_THRESHOLD`]
+    /// unless overridden via [`Pipeline::with_parallel_threshold`]) —
+    /// thread spawn cost swamps the estimation work on tiny batches.
+    /// Otherwise the wave fans out over the sharded worker pool, which
+    /// hands its records back in module order. Either way the sink
+    /// observes exactly the serial emission order, and all workers
+    /// memoize into this pipeline's one probability table.
+    ///
+    /// The `pipeline.run_all` span opens once the first wave is pulled;
+    /// its detail reads `serial modules=N` or `jobs=J modules=N shards=S`
+    /// for that wave, with `N+` when more waves follow.
     ///
     /// # Errors
     ///
     /// Stops at the first failing module in stream order (later modules
-    /// of an in-flight wave may have been estimated speculatively; their
-    /// records are discarded and subsequent modules are never pulled).
-    /// Errors returned by the sink propagate the same way.
+    /// of an in-flight parallel wave may have been estimated
+    /// speculatively; their records are discarded and later waves are
+    /// never pulled). Errors returned by the sink propagate the same way.
     pub fn run_all_streaming<I, S>(
         &self,
         modules: I,
@@ -554,71 +523,57 @@ impl Pipeline {
         mut sink: S,
     ) -> Result<StreamSummary, NetlistError>
     where
-        I: IntoIterator<Item = Module>,
+        I: IntoIterator,
+        I::Item: Borrow<Module> + Sync,
         S: FnMut(EstimateRecord) -> Result<(), NetlistError>,
     {
-        let workers = jobs.max(1);
-        let batch = trace::span_with("pipeline.run_all", || format!("streaming jobs={workers}"));
-        let batch_id = batch.id();
-        let before = self.prob_snapshot();
+        let wave_budget = jobs.max(1).saturating_mul(self.shard_net_budget);
+        let mut stream = modules.into_iter().peekable();
         let mut summary = StreamSummary::default();
-        let mut stream = modules.into_iter();
-        let mut outcome = Ok(());
-        if workers <= 1 {
-            for module in stream {
-                summary.count(&module);
-                match self.run_module(&module) {
-                    Ok(record) => {
-                        if let Err(e) = sink(record) {
-                            outcome = Err(e);
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        outcome = Err(e);
-                        break;
-                    }
-                }
+        // Pulls one wave: enough modules to keep every worker at a full
+        // shard, never more — this bound is the RSS bound.
+        let mut pull = || {
+            let (mut wave, mut net_counts, mut wave_nets) = (Vec::new(), Vec::new(), 0);
+            while wave_nets < wave_budget {
+                let Some(module) = stream.next() else { break };
+                summary.count(module.borrow());
+                wave_nets += module.borrow().net_count();
+                net_counts.push(module.borrow().net_count());
+                wave.push(module);
             }
-        } else {
-            let wave_budget = workers * self.shard_net_budget;
-            'waves: loop {
-                // Pull one wave: enough modules to keep every worker at a
-                // full shard, never more — this bound is the RSS bound.
-                let mut wave: Vec<Module> = Vec::new();
-                let mut wave_nets = 0usize;
-                for module in stream.by_ref() {
-                    wave_nets += module.net_count();
-                    wave.push(module);
-                    if wave_nets >= wave_budget {
-                        break;
-                    }
-                }
-                if wave.is_empty() {
-                    break;
-                }
-                for module in &wave {
-                    summary.count(module);
-                }
-                let refs: Vec<&Module> = wave.iter().collect();
-                let net_counts: Vec<usize> = refs.iter().map(|m| m.net_count()).collect();
-                let shards = plan_shards(&net_counts, workers, self.shard_net_budget);
-                let slots: Vec<Mutex<Option<Result<EstimateRecord, NetlistError>>>> =
-                    refs.iter().map(|_| Mutex::new(None)).collect();
-                self.run_shards(&refs, &shards, workers.min(shards.len()), batch_id, &slots);
-                for slot in slots {
-                    let result = slot
-                        .into_inner()
-                        .expect("result slot poisoned")
-                        .expect("every module of the wave was estimated");
-                    let emit = result.and_then(&mut sink);
-                    if let Err(e) = emit {
-                        outcome = Err(e);
-                        break 'waves;
-                    }
-                }
+            (wave, net_counts, wave_nets, stream.peek().is_some())
+        };
+        let (mut wave, mut net_counts, wave_nets, more) = pull();
+        let parallel = jobs > 1 && (more || wave_nets >= self.parallel_net_threshold);
+        let batch = trace::span_with("pipeline.run_all", || {
+            let modules = format!("modules={}{}", wave.len(), if more { "+" } else { "" });
+            if parallel {
+                let shards = plan_shards(&net_counts, jobs, self.shard_net_budget).len();
+                format!("jobs={} {modules} shards={shards}", jobs.min(shards))
+            } else {
+                format!("serial {modules}")
             }
-        }
+        });
+        let before = self.prob_snapshot();
+        let outcome = loop {
+            if wave.is_empty() {
+                break Ok(());
+            }
+            let emitted = if parallel {
+                self.run_shards(&wave, &net_counts, jobs, batch.id())
+                    .into_iter()
+                    .try_for_each(|record| record.and_then(&mut sink))
+            } else {
+                wave.iter()
+                    .try_for_each(|module| self.run_module(module.borrow()).and_then(&mut sink))
+            };
+            if emitted.is_err() {
+                break emitted;
+            }
+            // Release this wave before pulling the next.
+            drop(wave);
+            (wave, net_counts, _, _) = pull();
+        };
         self.emit_prob_delta(before);
         outcome.map(|()| summary)
     }
@@ -746,7 +701,6 @@ mod tests {
 
     #[test]
     fn small_batch_falls_back_to_serial_path() {
-        let collector = Arc::new(trace::Collector::new());
         let p = Pipeline::new(builtin::nmos25());
         let modules = [generate::counter(2), generate::counter(3)];
         let total_nets: usize = modules.iter().map(|m| m.net_count()).sum();
@@ -754,23 +708,35 @@ mod tests {
             total_nets < DEFAULT_PARALLEL_NET_THRESHOLD,
             "fixture must stay under the threshold, has {total_nets} nets"
         );
-        trace::with_sink(Arc::clone(&collector) as Arc<dyn trace::Sink>, || {
+        let parallel = || {
             p.run_all_parallel(modules.iter(), 8).expect("estimates");
-        });
-        let spans = collector.spans();
-        let batch = spans
-            .iter()
-            .find(|s| s.name == "pipeline.run_all")
-            .expect("batch span present");
-        assert!(
-            batch.detail.starts_with("serial"),
-            "expected serial fallback, got detail {:?}",
-            batch.detail
-        );
-        assert!(
-            !spans.iter().any(|s| s.name == "pipeline.worker"),
-            "serial fallback must not spawn workers"
-        );
+        };
+        let streaming = || {
+            p.run_all_streaming(modules.iter(), 8, |_| Ok(()))
+                .expect("estimates");
+        };
+        let entry_points: [(&str, &dyn Fn()); 2] = [
+            ("run_all_parallel", &parallel),
+            ("run_all_streaming", &streaming),
+        ];
+        for (entry, run) in entry_points {
+            let collector = Arc::new(trace::Collector::new());
+            trace::with_sink(Arc::clone(&collector) as Arc<dyn trace::Sink>, run);
+            let spans = collector.spans();
+            let batch = spans
+                .iter()
+                .find(|s| s.name == "pipeline.run_all")
+                .expect("batch span present");
+            assert!(
+                batch.detail.starts_with("serial"),
+                "{entry}: expected serial fallback, got detail {:?}",
+                batch.detail
+            );
+            assert!(
+                !spans.iter().any(|s| s.name == "pipeline.worker"),
+                "{entry}: serial fallback must not spawn workers"
+            );
+        }
     }
 
     #[test]
@@ -841,27 +807,40 @@ mod tests {
 
     #[test]
     fn streaming_matches_in_memory_run_byte_for_byte() {
-        let p = Pipeline::new(builtin::nmos25());
         let modules: Vec<_> = (2..10).map(generate::counter).collect();
-        let reference = p.run_all(modules.iter()).expect("in-memory run");
-        for jobs in [1, 2, 8] {
-            let mut db = ResultsDb::new();
-            let summary = p
-                .run_all_streaming(modules.iter().cloned(), jobs, |rec| {
-                    db.insert(rec);
+        let reference = Pipeline::new(builtin::nmos25())
+            .run_all(modules.iter())
+            .expect("in-memory run")
+            .to_json()
+            .unwrap();
+        let nets: usize = modules.iter().map(|m| m.net_count()).sum();
+        // A small shard budget cuts even this batch into several waves.
+        for budget in [DEFAULT_SHARD_NET_BUDGET, 8] {
+            let p = Pipeline::new(builtin::nmos25()).with_shard_net_budget(budget);
+            for jobs in [1, 2, 8] {
+                let mut owned = ResultsDb::new();
+                let summary = p
+                    .run_all_streaming(modules.iter().cloned(), jobs, |rec| {
+                        owned.insert(rec);
+                        Ok(())
+                    })
+                    .expect("streaming run");
+                assert_eq!(summary.modules, modules.len());
+                assert_eq!(summary.nets, nets);
+                let mut borrowed = ResultsDb::new();
+                p.run_all_streaming(modules.iter(), jobs, |rec| {
+                    borrowed.insert(rec);
                     Ok(())
                 })
-                .expect("streaming run");
-            assert_eq!(summary.modules, modules.len());
-            assert_eq!(
-                summary.nets,
-                modules.iter().map(|m| m.net_count()).sum::<usize>()
-            );
-            assert_eq!(
-                reference.to_json().unwrap(),
-                db.to_json().unwrap(),
-                "jobs={jobs}"
-            );
+                .expect("borrowed streaming run");
+                for (items, db) in [("owned", owned), ("borrowed", borrowed)] {
+                    assert_eq!(
+                        reference,
+                        db.to_json().unwrap(),
+                        "{items} items, budget={budget} jobs={jobs}"
+                    );
+                }
+            }
         }
     }
 

@@ -245,14 +245,14 @@ fn chain_netlist(n: usize) -> ChipNetlist {
 }
 
 fn blocks_from_modules(pipeline: &Pipeline, modules: &[Module]) -> Result<Vec<Block>, String> {
-    let mut blocks = Vec::new();
-    for module in modules {
-        match Block::from_module(pipeline, module, 5).map_err(|e| e.to_string())? {
-            Some(block) => blocks.push(block),
-            None => return Err(format!("module `{}` yields no estimate", module.name())),
-        }
-    }
-    Ok(blocks)
+    let db = pipeline.run_all(modules).map_err(|e| e.to_string())?;
+    db.records()
+        .iter()
+        .map(|record| {
+            Block::from_record(record, 5)
+                .ok_or_else(|| format!("module `{}` yields no estimate", record.module_name))
+        })
+        .collect()
 }
 
 /// The standard shootout suite: the paper's Table 1 and Table 2 blocks

@@ -412,15 +412,16 @@ pub fn floorplan_output<M: Borrow<Module>>(
     modules: &[M],
     aspect: Option<f64>,
 ) -> Result<(String, Floorplan), String> {
+    // One estimator pass per module; the pipeline's resolve-once cache
+    // carries the analysis into any later layout commands. The sink keeps
+    // one block per module, even where two modules share a name.
     let mut blocks = Vec::new();
-    for module in modules {
-        let module = module.borrow();
-        // One estimator pass per module; the pipeline's resolve-once
-        // cache carries the analysis into any later layout commands.
-        if let Some(block) = Block::from_module(pipeline, module, 5).map_err(|e| e.to_string())? {
-            blocks.push(block);
-        }
-    }
+    pipeline
+        .run_all_streaming(modules.iter().map(Borrow::borrow), 1, |record| {
+            blocks.extend(Block::from_record(&record, 5));
+            Ok(())
+        })
+        .map_err(|e| e.to_string())?;
     let plan = plan_backend(pipeline, aspect)?.plan(&blocks, None).plan;
     let mut out = String::new();
     writeln!(

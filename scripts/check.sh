@@ -30,11 +30,13 @@ cargo fmt "${FIRST_PARTY[@]}" -- --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (goldens verify-only)"
+echo "==> cargo test -q --no-fail-fast (goldens verify-only)"
 # Drop UPDATE_GOLDEN if the caller's environment carries it: the gate
 # must *verify* fixtures, never silently rewrite them. Regeneration is a
-# deliberate, reviewed step (see header).
-env -u UPDATE_GOLDEN cargo test -q
+# deliberate, reviewed step (see header). --no-fail-fast runs every test
+# binary even after one fails, so a single failure cannot hide the rest;
+# cargo still exits non-zero on any failure, which fails the gate.
+env -u UPDATE_GOLDEN cargo test -q --no-fail-fast
 
 echo "==> cargo test --manifest-path perfbench/Cargo.toml"
 # The benchmark harness is a workspace of its own, so the root build

@@ -226,40 +226,57 @@ fn replica_annealing_attributes_each_walk_to_its_thread() {
 
 #[test]
 fn folded_report_self_times_telescope_to_the_root() {
-    let collector = Arc::new(trace::Collector::new());
-    let modules = modules();
-    trace::with_sink(collector.clone(), || {
-        let _root = trace::span("cli.estimate");
-        let p = Pipeline::new(builtin::nmos25()).with_parallel_threshold(0);
-        p.run_all_parallel(modules.iter(), 2).expect("estimates");
-    });
-    let events = collector.events();
-    let report = fold(&events, "test");
+    // Self times partition the root duration on a serial batch. Worker
+    // threads overlap in wall time, so on a 2-worker batch `work_us` lands
+    // between the root duration and the root duration × thread count (the
+    // `PerfReport::work_us` contract). With one thread both bounds are
+    // the root, which makes the serial check exact.
+    for jobs in [1, 2] {
+        let collector = Arc::new(trace::Collector::new());
+        let modules = modules();
+        trace::with_sink(collector.clone(), || {
+            let _root = trace::span("cli.estimate");
+            let p = Pipeline::new(builtin::nmos25()).with_parallel_threshold(0);
+            p.run_all_parallel(modules.iter(), jobs).expect("estimates");
+        });
+        let events = collector.events();
+        let report = fold(&events, "test");
 
-    let root = report
-        .stages
-        .iter()
-        .find(|s| s.name == "cli.estimate")
-        .expect("root stage");
-    assert_eq!(root.count, 1);
-    assert_eq!(
-        report.wall_us, root.total_us,
-        "the root span covers the whole trace"
-    );
-    // Self times partition the root duration. Each span's start/duration
-    // is truncated to whole µs independently, so allow 1 µs of slack per
-    // span; `work_us` additionally never exceeds the root (saturation
-    // only ever removes time).
-    let spans = events
-        .iter()
-        .filter(|e| matches!(e, trace::Event::Span { .. }))
-        .count() as u64;
-    assert!(
-        report.work_us <= root.total_us + spans && report.work_us + spans >= root.total_us,
-        "work {} µs must telescope to root {} µs (±{spans})",
-        report.work_us,
-        root.total_us
-    );
+        let root = report
+            .stages
+            .iter()
+            .find(|s| s.name == "cli.estimate")
+            .expect("root stage");
+        assert_eq!(root.count, 1);
+        assert_eq!(
+            report.wall_us, root.total_us,
+            "the root span covers the whole trace"
+        );
+        let mut threads: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                trace::Event::Span { thread, .. } => Some(thread.as_str()),
+                _ => None,
+            })
+            .collect();
+        threads.sort_unstable();
+        threads.dedup();
+        // The calling thread, plus one per worker on the parallel batch.
+        let expected = if jobs == 1 { 1 } else { 1 + jobs };
+        assert_eq!(threads.len(), expected, "jobs={jobs}: threads {threads:?}");
+        // Each span's start/duration is truncated to whole µs
+        // independently, so allow 1 µs of slack per span.
+        let spans = events
+            .iter()
+            .filter(|e| matches!(e, trace::Event::Span { .. }))
+            .count() as u64;
+        let (low, high) = (root.total_us, root.total_us * threads.len() as u64);
+        assert!(
+            report.work_us + spans >= low && report.work_us <= high + spans,
+            "jobs={jobs}: work {} µs must lie within root {low}..={high} µs (±{spans})",
+            report.work_us,
+        );
+    }
 }
 
 #[test]
