@@ -220,21 +220,26 @@ fn cmd_estimate(opts: &Options) -> Result<(), String> {
         pipeline = pipeline.with_sc_params(ScParams::with_rows(rows));
     }
     let specs = parse_chip_specs(&opts.generate)?;
-    let mut modules = Vec::new();
-    for file in &opts.files {
-        modules.extend(ops::load_modules(file)?);
-    }
     if opts.stream && opts.since.is_some() {
         return Err("--since diffs whole revisions in memory; drop --stream".to_owned());
     }
     if opts.stream {
-        // Streaming path: generated modules are built lazily and every
-        // result leaves through stdout as soon as its wave completes, so
-        // peak memory stays bounded by the wave size, not the chip size.
+        // Streaming path: files are read whole but parsed one module at a
+        // time, generated modules are built lazily, and every result
+        // leaves through stdout as soon as its wave completes. Peak
+        // memory holds the file text plus one wave, never the parsed
+        // chip. A parse error ends the stream in input order: the records
+        // before it are out, then the command fails.
         let started = std::time::Instant::now();
-        let stream = modules
-            .into_iter()
-            .chain(specs.iter().flat_map(|spec| spec.modules()));
+        let files = opts
+            .files
+            .iter()
+            .map(|file| ops::SchematicFile::read(file))
+            .collect::<Result<Vec<_>, _>>()?;
+        let stream = files
+            .iter()
+            .flat_map(ops::SchematicFile::modules)
+            .chain(specs.iter().flat_map(|spec| spec.modules().map(Ok)));
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
         let summary = ops::estimate_stream(&pipeline, stream, opts.jobs, opts.json, &mut out)?;
@@ -253,10 +258,16 @@ fn cmd_estimate(opts: &Options) -> Result<(), String> {
             "streamed {} module(s): {} device(s), {} net(s) in {:.2}s",
             summary.modules, summary.devices, summary.nets, elapsed
         );
-    } else if let Some(since) = &opts.since {
-        for spec in &specs {
-            modules.extend(spec.modules());
-        }
+        return Ok(());
+    }
+    let mut modules = Vec::new();
+    for file in &opts.files {
+        modules.extend(ops::load_modules(file)?);
+    }
+    for spec in &specs {
+        modules.extend(spec.modules());
+    }
+    if let Some(since) = &opts.since {
         // ECO mode: classify this revision against the previous schematic
         // before estimating. The diff tally goes to stderr; stdout stays
         // byte-identical to a plain estimate of the same files.
@@ -267,9 +278,6 @@ fn cmd_estimate(opts: &Options) -> Result<(), String> {
         eprintln!("since {since}: {}", run.diff.summary());
         print!("{text}");
     } else {
-        for spec in &specs {
-            modules.extend(spec.modules());
-        }
         print!(
             "{}",
             ops::estimate_output(&pipeline, &modules, opts.jobs, opts.json)?

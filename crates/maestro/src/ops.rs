@@ -17,7 +17,7 @@ use maestro_estimator::report::{EstimateRecord, ResultsDb};
 use maestro_floorplan::{backend, Block, Floorplan, PlanParams};
 use maestro_fullcustom::{synthesize, synthesize_seeded, SynthesisParams, WarmStore};
 use maestro_netlist::{
-    chip, expand, mnl, spice, LayoutStyle, Module, RevisionManifest, StatsCache,
+    chip, expand, mnl, spice, LayoutStyle, Module, NetlistError, RevisionManifest, StatsCache,
 };
 use maestro_place::{place, PlaceParams};
 use maestro_route::route;
@@ -33,24 +33,60 @@ pub fn load_tech(spec: &str) -> Result<ProcessDb, String> {
     }
 }
 
-/// Loads the modules of one schematic file, dispatching on extension:
-/// `.mnl` is the native structural format; `.sp`/`.spice`/`.cir` are
-/// SPICE-subset decks.
-pub fn load_modules(path: &str) -> Result<Vec<Module>, String> {
-    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let ext = Path::new(path)
-        .extension()
-        .and_then(|e| e.to_str())
-        .unwrap_or("");
-    match ext {
-        "mnl" => mnl::parse_design(&source).map_err(|e| format!("{path}: {e}")),
-        "sp" | "spice" | "cir" => spice::parse(&source)
-            .map(|m| vec![m])
-            .map_err(|e| format!("{path}: {e}")),
-        other => Err(format!(
-            "{path}: unknown extension `.{other}` (expected .mnl, .sp, .spice or .cir)"
-        )),
+/// One schematic file's text, read whole; [`SchematicFile::modules`]
+/// parses it on demand.
+pub struct SchematicFile {
+    path: String,
+    source: String,
+    spice: bool,
+}
+
+impl SchematicFile {
+    /// Reads one schematic file, dispatching on extension: `.mnl` is the
+    /// native structural format; `.sp`/`.spice`/`.cir` are SPICE-subset
+    /// decks.
+    pub fn read(path: &str) -> Result<SchematicFile, String> {
+        let source =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let ext = Path::new(path)
+            .extension()
+            .and_then(|e| e.to_str())
+            .unwrap_or("");
+        let spice = match ext {
+            "mnl" => false,
+            "sp" | "spice" | "cir" => true,
+            other => {
+                return Err(format!(
+                    "{path}: unknown extension `.{other}` (expected .mnl, .sp, .spice or .cir)"
+                ))
+            }
+        };
+        Ok(SchematicFile {
+            path: path.to_owned(),
+            source,
+            spice,
+        })
     }
+
+    /// The file's modules in order, each parsed when the caller pulls it
+    /// (a `.mnl` design through [`mnl::modules`]; a SPICE deck is one
+    /// module). An error carries the `FILE: ` prefix and ends the
+    /// sequence.
+    pub fn modules(&self) -> Box<dyn Iterator<Item = Result<Module, String>> + '_> {
+        let located = |e: NetlistError| format!("{}: {e}", self.path);
+        if self.spice {
+            Box::new(std::iter::once_with(move || {
+                spice::parse(&self.source).map_err(located)
+            }))
+        } else {
+            Box::new(mnl::modules(&self.source).map(move |m| m.map_err(located)))
+        }
+    }
+}
+
+/// Loads the modules of one schematic file (see [`SchematicFile`]).
+pub fn load_modules(path: &str) -> Result<Vec<Module>, String> {
+    SchematicFile::read(path)?.modules().collect()
 }
 
 /// Parses one inline `.mnl` source (serve requests carry schematics in
@@ -140,7 +176,12 @@ pub fn estimate_record_text(rec: &EstimateRecord) -> String {
 /// block of [`estimate_record_text`], or (with `json`) one compact JSON
 /// record per line. Peak memory holds one wave of modules, never the
 /// whole batch or its results — this is the path that digests
-/// million-device generated chips.
+/// million-device chips.
+///
+/// `modules` may fail part-way, as a lazily parsed file does at its first
+/// bad module. The stream ends there: the records of every module before
+/// it are written, then the error is returned. That is the order the
+/// engine keeps for an estimation error.
 pub fn estimate_stream<I, W>(
     pipeline: &Pipeline,
     modules: I,
@@ -149,26 +190,30 @@ pub fn estimate_stream<I, W>(
     out: &mut W,
 ) -> Result<StreamSummary, String>
 where
-    I: IntoIterator<Item = Module>,
+    I: IntoIterator<Item = Result<Module, String>>,
     W: std::io::Write,
 {
+    let mut failed = None;
+    let modules = modules
+        .into_iter()
+        .map_while(|module| module.map_err(|e| failed = Some(e)).ok())
+        .fuse();
     let summary = pipeline
         .run_all_streaming(modules, jobs, |rec| {
             let rendered = if json {
-                let mut line = serde_json::to_string(&rec).map_err(|e| {
-                    maestro_netlist::NetlistError::invalid(format!("record serialization: {e}"))
-                })?;
+                let mut line = serde_json::to_string(&rec)
+                    .map_err(|e| NetlistError::invalid(format!("record serialization: {e}")))?;
                 line.push('\n');
                 line
             } else {
                 estimate_record_text(&rec)
             };
             out.write_all(rendered.as_bytes())
-                .map_err(|e| maestro_netlist::NetlistError::invalid(format!("write: {e}")))
+                .map_err(|e| NetlistError::invalid(format!("write: {e}")))
         })
         .map_err(|e| e.to_string())?;
     out.flush().map_err(|e| e.to_string())?;
-    Ok(summary)
+    failed.map_or(Ok(summary), Err)
 }
 
 /// Renders a generated chip spec's one-line summary.

@@ -31,7 +31,7 @@
 //! earlier responses have been written. EOF on the input drains the same
 //! way, just without the final response.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -177,10 +177,10 @@ impl Session {
             };
             modules.push(module);
         }
-        for (i, module) in modules.iter().enumerate() {
-            if modules[..i].iter().any(|m| m.name() == module.name()) {
-                return None; // duplicate name: parse_design owns the error
-            }
+        // The parser's duplicate-module rule; parse_design owns the error.
+        let mut names = HashSet::with_capacity(modules.len());
+        if !modules.iter().all(|m| names.insert(m.name())) {
+            return None;
         }
         for (hash, module) in fresh {
             self.parsed.insert(hash, module);

@@ -7,7 +7,7 @@
 //!
 //! * [`Module`] / [`Device`] / [`Net`] / [`Port`] — the in-memory schematic
 //!   graph, built through [`ModuleBuilder`];
-//! * [`mnl`] — a small structural netlist language (`.mnl`) with a
+//! * [`mnl`] — a small structural netlist language (`.mnl`) with a lazy,
 //!   line-accurate parser;
 //! * [`spice`] — a SPICE-subset reader (`M` transistor cards and `X`
 //!   subcircuit-instance cards inside one `.subckt`);

@@ -21,14 +21,15 @@
 //! Identifiers are `[A-Za-z_][A-Za-z0-9_]*`; `#` starts a line comment;
 //! nets may be declared lazily by first use inside a `device` binding.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::iter::FusedIterator;
 
-use crate::{Module, ModuleBuilder, NetlistError, ParseErrorKind, PortDirection};
+use crate::{Module, ModuleBuilder, NetId, NetlistError, ParseErrorKind, PortDirection};
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Token {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Token<'a> {
+    Ident(&'a str),
     Semi,
     Comma,
     LParen,
@@ -36,160 +37,159 @@ enum Token {
     Equals,
 }
 
-#[derive(Debug, Clone)]
-struct Spanned {
-    token: Token,
-    line: usize,
-}
+/// A token and the 1-based line it sits on.
+type Spanned<'a> = (Token<'a>, usize);
 
-fn lex(source: &str) -> Result<Vec<Spanned>, NetlistError> {
-    let mut out = Vec::new();
-    for (lineno, line) in source.lines().enumerate() {
-        let line_no = lineno + 1;
-        let code = match line.find('#') {
-            Some(i) => &line[..i],
-            None => line,
-        };
-        let mut chars = code.char_indices().peekable();
-        while let Some(&(i, c)) = chars.peek() {
-            match c {
-                c if c.is_whitespace() => {
-                    chars.next();
-                }
-                ';' => {
-                    chars.next();
-                    out.push(Spanned {
-                        token: Token::Semi,
-                        line: line_no,
-                    });
-                }
-                ',' => {
-                    chars.next();
-                    out.push(Spanned {
-                        token: Token::Comma,
-                        line: line_no,
-                    });
-                }
-                '(' => {
-                    chars.next();
-                    out.push(Spanned {
-                        token: Token::LParen,
-                        line: line_no,
-                    });
-                }
-                ')' => {
-                    chars.next();
-                    out.push(Spanned {
-                        token: Token::RParen,
-                        line: line_no,
-                    });
-                }
-                '=' => {
-                    chars.next();
-                    out.push(Spanned {
-                        token: Token::Equals,
-                        line: line_no,
-                    });
-                }
-                c if c.is_ascii_alphabetic() || c == '_' => {
-                    let start = i;
-                    let mut end = i + c.len_utf8();
-                    chars.next();
-                    while let Some(&(j, d)) = chars.peek() {
-                        if d.is_ascii_alphanumeric() || d == '_' {
-                            end = j + d.len_utf8();
-                            chars.next();
-                        } else {
-                            break;
-                        }
-                    }
-                    out.push(Spanned {
-                        token: Token::Ident(code[start..end].to_owned()),
-                        line: line_no,
-                    });
-                }
-                other => {
-                    return Err(NetlistError::parse(
-                        ParseErrorKind::UnexpectedToken,
-                        line_no,
-                        format!("unexpected character `{other}`"),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-struct Parser {
-    tokens: Vec<Spanned>,
+/// The lexer plus one token of lookahead. It walks the source on demand,
+/// so a lexical error surfaces only when parsing reaches it, and every
+/// identifier is a slice of the source, never a copy.
+struct Tokens<'a> {
+    source: &'a str,
+    /// Byte offset of the next unread character. It only ever moves past
+    /// whole characters, so it always sits on a char boundary.
     pos: usize,
+    /// Line of `pos`.
+    line: usize,
+    /// Line of the last token lexed: where an unexpected end is reported.
+    last_line: usize,
+    peeked: Option<Spanned<'a>>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Spanned> {
-        self.tokens.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<Spanned> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+impl<'a> Tokens<'a> {
+    fn new(source: &'a str) -> Self {
+        Tokens {
+            source,
+            pos: 0,
+            line: 1,
+            last_line: 1,
+            peeked: None,
         }
-        t
     }
 
-    fn last_line(&self) -> usize {
-        self.tokens.last().map_or(1, |t| t.line)
+    /// Lexes the next token, or `None` at the end of the source.
+    fn lex(&mut self) -> Result<Option<Spanned<'a>>, NetlistError> {
+        let bytes = self.source.as_bytes();
+        while let Some(&byte) = bytes.get(self.pos) {
+            let token = match byte {
+                b'\n' => {
+                    self.line += 1;
+                    self.pos += 1;
+                    continue;
+                }
+                b' ' | b'\t' | b'\r' => {
+                    self.pos += 1;
+                    continue;
+                }
+                b'#' => {
+                    // A comment runs to the end of its line.
+                    self.pos = bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(bytes.len(), |n| self.pos + n);
+                    continue;
+                }
+                b';' => Token::Semi,
+                b',' => Token::Comma,
+                b'(' => Token::LParen,
+                b')' => Token::RParen,
+                b'=' => Token::Equals,
+                b if b.is_ascii_alphabetic() || b == b'_' => {
+                    let start = self.pos;
+                    self.pos = bytes[start..]
+                        .iter()
+                        .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_'))
+                        .map_or(bytes.len(), |n| start + n);
+                    self.last_line = self.line;
+                    return Ok(Some((
+                        Token::Ident(&self.source[start..self.pos]),
+                        self.line,
+                    )));
+                }
+                _ => {
+                    // One whole character past the ASCII cases: the rest
+                    // of Unicode whitespace, or a stray.
+                    let c = self.source[self.pos..].chars().next().unwrap_or_default();
+                    if !c.is_whitespace() {
+                        return Err(NetlistError::parse(
+                            ParseErrorKind::UnexpectedToken,
+                            self.line,
+                            format!("unexpected character `{c}`"),
+                        ));
+                    }
+                    self.pos += c.len_utf8();
+                    continue;
+                }
+            };
+            self.pos += 1;
+            self.last_line = self.line;
+            return Ok(Some((token, self.line)));
+        }
+        Ok(None)
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(String, usize), NetlistError> {
-        match self.next() {
-            Some(Spanned {
-                token: Token::Ident(s),
-                line,
-            }) => Ok((s, line)),
-            Some(Spanned { token, line }) => Err(NetlistError::parse(
+    fn peek(&mut self) -> Result<Option<Spanned<'a>>, NetlistError> {
+        if self.peeked.is_none() {
+            self.peeked = self.lex()?;
+        }
+        Ok(self.peeked)
+    }
+
+    fn next(&mut self) -> Result<Option<Spanned<'a>>, NetlistError> {
+        match self.peeked.take() {
+            Some(spanned) => Ok(Some(spanned)),
+            None => self.lex(),
+        }
+    }
+
+    /// Consumes the next token if it is `token`.
+    fn eat(&mut self, token: Token<'a>) -> Result<bool, NetlistError> {
+        let found = matches!(self.peek()?, Some((t, _)) if t == token);
+        if found {
+            self.peeked = None;
+        }
+        Ok(found)
+    }
+
+    /// The error for finding `found` (`None`: the end) where `what` belongs.
+    fn unexpected(&self, found: Option<Spanned<'a>>, what: &str) -> NetlistError {
+        match found {
+            Some((token, line)) => NetlistError::parse(
                 ParseErrorKind::UnexpectedToken,
                 line,
                 format!("expected {what}, found {token:?}"),
-            )),
-            None => Err(NetlistError::parse(
+            ),
+            None => NetlistError::parse(
                 ParseErrorKind::UnexpectedEof,
-                self.last_line(),
+                self.last_line,
                 format!("expected {what}"),
-            )),
+            ),
         }
     }
 
-    fn expect(&mut self, token: Token, what: &str) -> Result<usize, NetlistError> {
-        match self.next() {
-            Some(Spanned { token: t, line }) if t == token => Ok(line),
-            Some(Spanned { token: t, line }) => Err(NetlistError::parse(
-                ParseErrorKind::UnexpectedToken,
-                line,
-                format!("expected {what}, found {t:?}"),
-            )),
-            None => Err(NetlistError::parse(
-                ParseErrorKind::UnexpectedEof,
-                self.last_line(),
-                format!("expected {what}"),
-            )),
+    fn expect_ident(&mut self, what: &str) -> Result<(&'a str, usize), NetlistError> {
+        match self.next()? {
+            Some((Token::Ident(s), line)) => Ok((s, line)),
+            found => Err(self.unexpected(found, what)),
         }
     }
 
-    fn name_list(&mut self) -> Result<Vec<(String, usize)>, NetlistError> {
-        let mut names = vec![self.expect_ident("a name")?];
-        while let Some(Spanned {
-            token: Token::Comma,
-            ..
-        }) = self.peek()
-        {
-            self.next();
+    fn expect(&mut self, token: Token<'a>, what: &str) -> Result<usize, NetlistError> {
+        match self.next()? {
+            Some((t, line)) if t == token => Ok(line),
+            found => Err(self.unexpected(found, what)),
+        }
+    }
+
+    /// Parses `name (, name)* ;` into `names` (cleared first), each name
+    /// with its line.
+    fn name_list(&mut self, names: &mut Vec<(&'a str, usize)>) -> Result<(), NetlistError> {
+        names.clear();
+        names.push(self.expect_ident("a name")?);
+        while self.eat(Token::Comma)? {
             names.push(self.expect_ident("a name")?);
         }
         self.expect(Token::Semi, "`;`")?;
-        Ok(names)
+        Ok(())
     }
 }
 
@@ -234,6 +234,7 @@ pub fn parse(source: &str) -> Result<Module, NetlistError> {
 /// Parses a multi-module `.mnl` design: a sequence of
 /// `module … endmodule` blocks in one file — the "global module
 /// descriptions … for the whole chip" of the paper's Figure 1 database.
+/// This is [`modules`], collected.
 ///
 /// # Errors
 ///
@@ -251,146 +252,180 @@ pub fn parse(source: &str) -> Result<Module, NetlistError> {
 /// # Ok::<(), maestro_netlist::NetlistError>(())
 /// ```
 pub fn parse_design(source: &str) -> Result<Vec<Module>, NetlistError> {
-    let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let mut modules: Vec<Module> = Vec::new();
-    while p.peek().is_some() {
-        let module = parse_one(&mut p)?;
-        if modules.iter().any(|m| m.name() == module.name()) {
-            return Err(NetlistError::parse(
-                ParseErrorKind::DuplicateName,
-                p.last_line(),
-                format!("module `{}` defined twice", module.name()),
-            ));
-        }
-        modules.push(module);
-    }
-    if modules.is_empty() {
-        return Err(NetlistError::parse(
-            ParseErrorKind::Malformed,
-            1,
-            "source contains no modules",
-        ));
-    }
-    Ok(modules)
+    modules(source).collect()
 }
 
-fn parse_one(p: &mut Parser) -> Result<Module, NetlistError> {
-    let line = p.expect(Token::Ident("module".to_owned()), "keyword `module`");
-    // Better message when the first token isn't `module`.
-    let line = match line {
-        Ok(l) => l,
-        Err(NetlistError::Parse { line, .. }) => {
-            return Err(NetlistError::parse(
-                ParseErrorKind::Malformed,
-                line,
-                "netlist must start with `module <name>;`",
-            ));
+/// Parses a multi-module `.mnl` design lazily: each `next` parses one
+/// more module from the source, so a caller can estimate a chip's first
+/// modules while the rest is still text.
+///
+/// The iterator yields exactly what [`parse_design`] returns, one item at
+/// a time. Errors surface in source order: the modules before a bad one
+/// come out first, then its error, then nothing. A second module of the
+/// same name is an error at the line of its `module` keyword, and a
+/// source without modules yields one error.
+///
+/// # Examples
+///
+/// ```
+/// use maestro_netlist::mnl;
+///
+/// let mut design = mnl::modules("module a;\nendmodule\nmodule b;\nfrobnicate;\n");
+/// assert_eq!(design.next().unwrap()?.name(), "a");
+/// assert!(design.next().unwrap().is_err()); // line 4: unknown statement
+/// assert!(design.next().is_none());
+/// # Ok::<(), maestro_netlist::NetlistError>(())
+/// ```
+pub fn modules(source: &str) -> Modules<'_> {
+    Modules {
+        tokens: Tokens::new(source),
+        names: HashSet::new(),
+        done: false,
+    }
+}
+
+/// The iterator [`modules`] returns.
+pub struct Modules<'a> {
+    tokens: Tokens<'a>,
+    /// Names of the modules yielded so far: the duplicate-module rule.
+    names: HashSet<&'a str>,
+    /// Set at the end of the source and after an error.
+    done: bool,
+}
+
+impl Iterator for Modules<'_> {
+    type Item = Result<Module, NetlistError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
         }
-        Err(e) => return Err(e),
-    };
-    let _ = line;
-    let (module_name, _) = p.expect_ident("module name")?;
-    p.expect(Token::Semi, "`;`")?;
-
-    let mut b = ModuleBuilder::new(module_name);
-    let mut declared_ports: BTreeSet<String> = BTreeSet::new();
-    let mut declared_devices: BTreeSet<String> = BTreeSet::new();
-
-    loop {
-        let (kw, line) = p.expect_ident("a statement keyword")?;
-        match kw.as_str() {
-            "endmodule" => break,
-            "input" | "output" | "inout" => {
-                let dir = match kw.as_str() {
-                    "input" => PortDirection::Input,
-                    "output" => PortDirection::Output,
-                    _ => PortDirection::InOut,
-                };
-                for (name, line) in p.name_list()? {
-                    if !declared_ports.insert(name.clone()) {
-                        return Err(NetlistError::parse(
-                            ParseErrorKind::DuplicateName,
-                            line,
-                            format!("port `{name}` declared twice"),
-                        ));
-                    }
-                    b.port(name, dir);
-                }
+        let item = match self.tokens.peek() {
+            Ok(None) if !self.names.is_empty() => {
+                self.done = true;
+                return None;
             }
-            "net" => {
-                for (name, _) in p.name_list()? {
-                    b.net(name);
-                }
+            Ok(None) => Err(NetlistError::parse(
+                ParseErrorKind::Malformed,
+                1,
+                "source contains no modules",
+            )),
+            Ok(Some(_)) => self.module(),
+            Err(e) => Err(e),
+        };
+        self.done = item.is_err();
+        Some(item)
+    }
+}
+
+impl FusedIterator for Modules<'_> {}
+
+impl<'a> Modules<'a> {
+    fn module(&mut self) -> Result<Module, NetlistError> {
+        let t = &mut self.tokens;
+        let module_line = match t.next()? {
+            Some((Token::Ident("module"), line)) => line,
+            found => {
+                return Err(NetlistError::parse(
+                    ParseErrorKind::Malformed,
+                    found.map_or(t.last_line, |(_, line)| line),
+                    "netlist must start with `module <name>;`",
+                ));
             }
-            "device" => {
-                let (inst, line) = p.expect_ident("device instance name")?;
-                if !declared_devices.insert(inst.clone()) {
-                    return Err(NetlistError::parse(
-                        ParseErrorKind::DuplicateName,
-                        line,
-                        format!("device `{inst}` declared twice"),
-                    ));
-                }
-                let (template, _) = p.expect_ident("device template name")?;
-                p.expect(Token::LParen, "`(`")?;
-                let mut bindings: Vec<(String, String)> = Vec::new();
-                if !matches!(
-                    p.peek(),
-                    Some(Spanned {
-                        token: Token::RParen,
-                        ..
-                    })
-                ) {
-                    loop {
-                        let (pin, line) = p.expect_ident("pin name")?;
-                        p.expect(Token::Equals, "`=`")?;
-                        let (net, _) = p.expect_ident("net name")?;
-                        if bindings.iter().any(|(existing, _)| *existing == pin) {
+        };
+        let (module_name, _) = t.expect_ident("module name")?;
+        t.expect(Token::Semi, "`;`")?;
+
+        let mut b = ModuleBuilder::new(module_name);
+        let mut declared_ports: HashSet<&str> = HashSet::new();
+        let mut declared_devices: HashSet<&str> = HashSet::new();
+        // Per-statement scratch, reused across the module's statements.
+        let mut names: Vec<(&str, usize)> = Vec::new();
+        let mut bindings: Vec<(&str, &str)> = Vec::new();
+        let mut pins: Vec<(&str, NetId)> = Vec::new();
+
+        loop {
+            let (kw, line) = t.expect_ident("a statement keyword")?;
+            match kw {
+                "endmodule" => break,
+                "input" | "output" | "inout" => {
+                    let dir = match kw {
+                        "input" => PortDirection::Input,
+                        "output" => PortDirection::Output,
+                        _ => PortDirection::InOut,
+                    };
+                    t.name_list(&mut names)?;
+                    for &(name, line) in &names {
+                        if !declared_ports.insert(name) {
                             return Err(NetlistError::parse(
                                 ParseErrorKind::DuplicateName,
                                 line,
-                                format!("pin `{pin}` bound twice on `{inst}`"),
+                                format!("port `{name}` declared twice"),
                             ));
                         }
-                        bindings.push((pin, net));
-                        match p.peek() {
-                            Some(Spanned {
-                                token: Token::Comma,
-                                ..
-                            }) => {
-                                p.next();
-                            }
-                            _ => break,
-                        }
+                        b.port(name, dir);
                     }
                 }
-                p.expect(Token::RParen, "`)`")?;
-                p.expect(Token::Semi, "`;`")?;
-                let resolved: Vec<(String, crate::NetId)> = bindings
-                    .into_iter()
-                    .map(|(pin, net)| {
-                        let id = b.net(net);
-                        (pin, id)
-                    })
-                    .collect();
-                b.device(
-                    inst,
-                    template,
-                    resolved.iter().map(|(p, n)| (p.as_str(), *n)),
-                );
-            }
-            other => {
-                return Err(NetlistError::parse(
-                    ParseErrorKind::UnexpectedToken,
-                    line,
-                    format!("unknown statement `{other}`"),
-                ));
+                "net" => {
+                    t.name_list(&mut names)?;
+                    for &(name, _) in &names {
+                        b.net(name);
+                    }
+                }
+                "device" => {
+                    let (inst, line) = t.expect_ident("device instance name")?;
+                    if !declared_devices.insert(inst) {
+                        return Err(NetlistError::parse(
+                            ParseErrorKind::DuplicateName,
+                            line,
+                            format!("device `{inst}` declared twice"),
+                        ));
+                    }
+                    let (template, _) = t.expect_ident("device template name")?;
+                    t.expect(Token::LParen, "`(`")?;
+                    bindings.clear();
+                    if !matches!(t.peek()?, Some((Token::RParen, _))) {
+                        loop {
+                            let (pin, line) = t.expect_ident("pin name")?;
+                            t.expect(Token::Equals, "`=`")?;
+                            let (net, _) = t.expect_ident("net name")?;
+                            if bindings.iter().any(|&(bound, _)| bound == pin) {
+                                return Err(NetlistError::parse(
+                                    ParseErrorKind::DuplicateName,
+                                    line,
+                                    format!("pin `{pin}` bound twice on `{inst}`"),
+                                ));
+                            }
+                            bindings.push((pin, net));
+                            if !t.eat(Token::Comma)? {
+                                break;
+                            }
+                        }
+                    }
+                    t.expect(Token::RParen, "`)`")?;
+                    t.expect(Token::Semi, "`;`")?;
+                    pins.clear();
+                    pins.extend(bindings.iter().map(|&(pin, net)| (pin, b.net(net))));
+                    b.device(inst, template, pins.iter().copied());
+                }
+                other => {
+                    return Err(NetlistError::parse(
+                        ParseErrorKind::UnexpectedToken,
+                        line,
+                        format!("unknown statement `{other}`"),
+                    ));
+                }
             }
         }
+        if !self.names.insert(module_name) {
+            return Err(NetlistError::parse(
+                ParseErrorKind::DuplicateName,
+                module_line,
+                format!("module `{module_name}` defined twice"),
+            ));
+        }
+        Ok(b.finish())
     }
-
-    Ok(b.finish())
 }
 
 /// Serializes a module back to `.mnl` text.
@@ -660,6 +695,157 @@ endmodule
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn duplicate_module_reports_the_line_of_its_module_keyword() {
+        // Ten lines; `a` comes back at line 4 and the file runs on past it.
+        let src = "module a;\ninput x;\nendmodule\nmodule a;\ninput y;\nendmodule\n\
+                   module b;\ninput z;\ndevice u INV (A=z, Y=w);\nendmodule\n";
+        assert_eq!(src.lines().count(), 10);
+        let err = parse_design(src).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 4: duplicate name: module `a` defined twice"
+        );
+    }
+
+    #[test]
+    fn the_first_error_in_the_source_wins() {
+        // A syntax error at line 2 and a stray character at line 5: the
+        // parser stops at the first.
+        let src =
+            "module m;\nfrobnicate x;\ninput a;\noutput y;\ndevice u INV (A=a$, Y=y);\nendmodule\n";
+        let err = parse(src).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2: unexpected token: unknown statement `frobnicate`"
+        );
+    }
+
+    #[test]
+    fn modules_yields_a_valid_module_before_a_later_error() {
+        let src = "module a;\ninput x;\ndevice u INV (A=x, Y=y);\nendmodule\n\
+                   module b;\ninput x;\ndevice u INV (A=x, Y=y)\nendmodule\n";
+        let mut design = modules(src);
+        let first = design.next().expect("an item").expect("module `a` parses");
+        assert_eq!(first.name(), "a");
+        assert_eq!(first.device_count(), 1);
+        let err = design.next().expect("an item").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 8: unexpected token: expected `;`, found Ident(\"endmodule\")"
+        );
+        assert!(design.next().is_none(), "nothing after an error");
+        assert_eq!(parse_design(src).unwrap_err(), err);
+    }
+
+    #[test]
+    fn modules_of_a_generated_chip_match_the_generator_one_by_one() {
+        // Some generators create internal nets before output ports, which
+        // `.mnl` text cannot express, so a module is compared through its
+        // canonical text and against the one-module parse of that text.
+        let spec = crate::chip::ChipSpec::parse("mixed:20k").expect("valid spec");
+        let text: String = spec.modules().map(|m| to_mnl(&m)).collect();
+        let mut parsed = modules(&text);
+        let mut count = 0;
+        for expected in spec.modules() {
+            let chunk = to_mnl(&expected);
+            let got = parsed
+                .next()
+                .expect("as many modules as generated")
+                .expect("generated text parses");
+            assert_eq!(to_mnl(&got), chunk, "module `{}`", expected.name());
+            assert_eq!(got, parse(&chunk).expect("one module parses"));
+            count += 1;
+        }
+        assert!(
+            parsed.next().is_none(),
+            "no module beyond the generated ones"
+        );
+        assert_eq!(count, spec.module_count());
+        assert!(count > 1, "a multi-module chip");
+    }
+
+    #[test]
+    fn single_error_diagnostics_are_unchanged() {
+        use ParseErrorKind::*;
+        let cases: [(&str, ParseErrorKind, usize, &str); 11] = [
+            (
+                "module m;\nfrobnicate x;\nendmodule",
+                UnexpectedToken,
+                2,
+                "unknown statement `frobnicate`",
+            ),
+            (
+                "module m;\ninput a$;\nendmodule",
+                UnexpectedToken,
+                2,
+                "unexpected character `$`",
+            ),
+            (
+                "module m;\ninput \u{e9};\nendmodule",
+                UnexpectedToken,
+                2,
+                "unexpected character `\u{e9}`",
+            ),
+            (
+                "module m;\ndevice u INV (A=x)\nendmodule",
+                UnexpectedToken,
+                3,
+                "expected `;`, found Ident(\"endmodule\")",
+            ),
+            (
+                "module m;\ninput a;\ninput a;\nendmodule",
+                DuplicateName,
+                3,
+                "port `a` declared twice",
+            ),
+            (
+                "module m;\ndevice u INV ();\ndevice u INV ();\nendmodule",
+                DuplicateName,
+                3,
+                "device `u` declared twice",
+            ),
+            (
+                "module m;\ndevice u INV (A=x,\n A=y);\nendmodule",
+                DuplicateName,
+                3,
+                "pin `A` bound twice on `u`",
+            ),
+            (
+                "module m;\ninput a;\n",
+                UnexpectedEof,
+                2,
+                "expected a statement keyword",
+            ),
+            (
+                "input a;\n",
+                Malformed,
+                1,
+                "netlist must start with `module <name>;`",
+            ),
+            (
+                "# nothing here\n",
+                Malformed,
+                1,
+                "source contains no modules",
+            ),
+            (
+                "module a;\nendmodule\nmodule b;\nendmodule\n",
+                Malformed,
+                1,
+                "expected exactly one module, found 2 (use parse_design for multi-module files)",
+            ),
+        ];
+        for (src, kind, line, message) in cases {
+            let err = parse(src).unwrap_err();
+            assert_eq!(
+                err,
+                NetlistError::parse(kind, line, message),
+                "diagnostic for {src:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The in-memory schematic graph: modules, devices, nets and ports.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -325,9 +325,9 @@ pub struct ModuleBuilder {
     devices: Vec<Device>,
     nets: Vec<Net>,
     ports: Vec<Port>,
-    device_names: BTreeMap<String, DeviceId>,
-    net_names: BTreeMap<String, NetId>,
-    port_names: BTreeMap<String, PortId>,
+    device_names: HashMap<String, DeviceId>,
+    net_names: HashMap<String, NetId>,
+    port_names: HashMap<String, PortId>,
 }
 
 impl ModuleBuilder {
@@ -344,19 +344,20 @@ impl ModuleBuilder {
             devices: Vec::new(),
             nets: Vec::new(),
             ports: Vec::new(),
-            device_names: BTreeMap::new(),
-            net_names: BTreeMap::new(),
-            port_names: BTreeMap::new(),
+            device_names: HashMap::new(),
+            net_names: HashMap::new(),
+            port_names: HashMap::new(),
         }
     }
 
     /// Declares an internal net. Re-declaring an existing name returns the
-    /// existing id, which lets textual formats reference nets lazily.
-    pub fn net(&mut self, name: impl Into<String>) -> NetId {
-        let name = name.into();
-        if let Some(&id) = self.net_names.get(&name) {
+    /// existing id, which lets textual formats reference nets lazily; the
+    /// lookup borrows the name, so only a new net allocates.
+    pub fn net(&mut self, name: impl AsRef<str> + Into<String>) -> NetId {
+        if let Some(&id) = self.net_names.get(name.as_ref()) {
             return id;
         }
+        let name = name.into();
         let id = NetId::new(self.nets.len() as u32);
         self.nets.push(Net {
             name: name.clone(),
@@ -380,7 +381,7 @@ impl ModuleBuilder {
             "duplicate port `{name}` in module `{}`",
             self.name
         );
-        let net = self.net(name.clone());
+        let net = self.net(name.as_str());
         let id = PortId::new(self.ports.len() as u32);
         self.ports.push(Port {
             name: name.clone(),

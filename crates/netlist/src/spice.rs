@@ -155,7 +155,7 @@ pub fn parse(deck: &str) -> Result<Module, NetlistError> {
                     if is_supply(net) {
                         continue;
                     }
-                    let id = b.net((*net).to_owned());
+                    let id = b.net(*net);
                     pins.push((pin_names[i].to_owned(), id));
                 }
                 // A device may touch the same net through two terminals
@@ -204,7 +204,7 @@ pub fn parse(deck: &str) -> Result<Module, NetlistError> {
                     if is_supply(net) {
                         continue;
                     }
-                    let id = b.net((*net).to_owned());
+                    let id = b.net(*net);
                     pins.push((format!("p{}", i + 1), id));
                 }
                 b.device(

@@ -188,6 +188,148 @@ fn estimate_streams_a_generated_family_without_input_files() {
     assert!(err.contains("device(s)"), "{err}");
 }
 
+/// A scratch directory of its own for one test.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("maestro-cli-{test}"));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// The compact record lines a `--stream --json` run printed, parsed.
+fn stream_records(stdout: &[u8]) -> Vec<maestro::estimator::EstimateRecord> {
+    String::from_utf8_lossy(stdout)
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("record line parses"))
+        .collect()
+}
+
+#[test]
+fn estimate_streams_a_multi_wave_file_record_for_record() {
+    let dir = scratch_dir("stream-file-test");
+    let path = dir.join("chip.mnl").to_string_lossy().into_owned();
+    let generated = cli()
+        .args(["generate", "mixed:20k", "--out", &path])
+        .output()
+        .expect("runs");
+    assert!(generated.status.success());
+    let batch = cli()
+        .args(["estimate", &path, "--json"])
+        .output()
+        .expect("runs");
+    assert!(batch.status.success());
+    let db = maestro::estimator::ResultsDb::from_json(&String::from_utf8_lossy(&batch.stdout))
+        .expect("batch output parses");
+    for jobs in ["1", "2"] {
+        let streamed = cli()
+            .args(["estimate", &path, "--stream", "--json", "--jobs", jobs])
+            .output()
+            .expect("runs");
+        let err = String::from_utf8_lossy(&streamed.stderr);
+        assert!(streamed.status.success(), "{err}");
+        // The file must span several waves of `--jobs 2` shards.
+        let wave = 2 * maestro::estimator::pipeline::DEFAULT_SHARD_NET_BUDGET;
+        let nets: usize = err
+            .split(" net(s)")
+            .next()
+            .and_then(|head| head.rsplit(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("net tally in {err}"));
+        assert!(nets > 3 * wave, "{nets} nets");
+        let records = stream_records(&streamed.stdout);
+        assert_eq!(records.as_slice(), db.records(), "--jobs {jobs}");
+        let mut from_stream = maestro::estimator::ResultsDb::new();
+        for rec in records {
+            from_stream.insert(rec);
+        }
+        assert_eq!(from_stream.to_json().unwrap(), db.to_json().unwrap());
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn estimate_stream_keeps_input_order_across_files_and_generated_chips() {
+    let args = [
+        "estimate",
+        &asset("nmos_nand2.sp"),
+        &asset("table1.mnl"),
+        "--generate",
+        "tree:2k",
+        "--json",
+    ];
+    let batch = cli().args(args).output().expect("runs");
+    assert!(batch.status.success());
+    let db = maestro::estimator::ResultsDb::from_json(&String::from_utf8_lossy(&batch.stdout))
+        .expect("batch output parses");
+    let streamed = cli().args(args).arg("--stream").output().expect("runs");
+    assert!(
+        streamed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&streamed.stderr)
+    );
+    let names: Vec<String> = stream_records(&streamed.stdout)
+        .into_iter()
+        .map(|rec| rec.module_name)
+        .collect();
+    let expected: Vec<&str> = db
+        .records()
+        .iter()
+        .map(|r| r.module_name.as_str())
+        .collect();
+    assert_eq!(names, expected);
+    assert_eq!(names[0], "nand2", "the deck comes first");
+    let table1 = maestro::netlist::mnl::parse_design(
+        &std::fs::read_to_string(asset("table1.mnl")).expect("asset reads"),
+    )
+    .expect("asset parses");
+    for (name, module) in names[1..].iter().zip(&table1) {
+        assert_eq!(name, module.name(), "then the .mnl file, in file order");
+    }
+    assert_eq!(names[1 + table1.len()], "parity_256__u0", "then the chip");
+}
+
+#[test]
+fn estimate_stream_prints_the_records_before_a_parse_error() {
+    let dir = scratch_dir("stream-parse-error-test");
+    let first = "module first;\ninput a;\noutput y;\ndevice u INV (A=a, Y=y);\nendmodule\n";
+    // The second module's device line (7) lacks its `;`.
+    let broken = format!("{first}module second;\ndevice u INV (A=a, Y=y)\nendmodule\n");
+    let (good, bad) = (dir.join("first.mnl"), dir.join("broken.mnl"));
+    std::fs::write(&good, first).expect("write");
+    std::fs::write(&bad, broken).expect("write");
+    let bad = bad.to_string_lossy().into_owned();
+    let reference = cli()
+        .args(["estimate", &good.to_string_lossy(), "--stream", "--json"])
+        .output()
+        .expect("runs");
+    assert!(reference.status.success());
+    assert_eq!(reference.stdout.iter().filter(|&&b| b == b'\n').count(), 1);
+    let message =
+        format!("{bad}: line 8: unexpected token: expected `;`, found Ident(\"endmodule\")");
+    for jobs in ["1", "2"] {
+        let streamed = cli()
+            .args(["estimate", &bad, "--stream", "--json", "--jobs", jobs])
+            .output()
+            .expect("runs");
+        assert!(!streamed.status.success());
+        assert_eq!(
+            String::from_utf8_lossy(&streamed.stdout),
+            String::from_utf8_lossy(&reference.stdout),
+            "exactly the first module's record"
+        );
+        let err = String::from_utf8_lossy(&streamed.stderr);
+        assert!(err.contains(&message), "{err}");
+    }
+    let whole = cli()
+        .args(["estimate", &bad, "--json"])
+        .output()
+        .expect("runs");
+    assert!(!whole.status.success());
+    assert!(whole.stdout.is_empty());
+    let err = String::from_utf8_lossy(&whole.stderr);
+    assert!(err.contains(&message), "{err}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn expand_emits_parsable_transistor_mnl() {
     let out = cli()
