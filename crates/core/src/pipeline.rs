@@ -14,12 +14,12 @@
 //! comparison the paper motivates ("trial floor plans for comparing the
 //! various different layout methodologies").
 
-use std::borrow::Borrow;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use maestro_netlist::{
-    diff, mnl, CacheStats, LayoutStyle, Module, ModuleFingerprint, NetlistDiff, NetlistError,
+    diff, mnl, CacheStats, Fingerprinted, LayoutStyle, Module, NetlistDiff, NetlistError,
     NetlistStats, RevisionManifest, StatsCache,
 };
 use maestro_tech::ProcessDb;
@@ -31,20 +31,22 @@ use crate::results_cache::{params_digest, ResultsCache};
 use crate::standard_cell::ScParams;
 use crate::{full_custom, standard_cell};
 
-/// Below this many total nets, a batch that fits one wave stays in the
-/// calling thread of the batch engine ([`Pipeline::run_all_streaming`])
-/// regardless of the requested job count: thread spawning costs more than
-/// estimating a hand-full of nets (the Table 1 suite alone carries ~80
-/// nets and stays parallel).
+/// Below this total weight ([`BatchItem::weight`]: nets, for parsed
+/// modules), a batch that fits one wave stays in the calling thread of
+/// the batch engine ([`Pipeline::run_all_streaming`]) regardless of the
+/// requested job count: thread spawning costs more than estimating a
+/// hand-full of nets (the Table 1 suite alone carries ~80 nets and stays
+/// parallel).
 pub const DEFAULT_PARALLEL_NET_THRESHOLD: usize = 48;
 
-/// Ceiling on the per-shard net budget work dispatch uses. The batch
-/// engine pulls waves of about `jobs ×` this many nets and cuts each into
-/// shards of consecutive modules totalling at most
-/// `min(DEFAULT_SHARD_NET_BUDGET, ceil(wave_nets / jobs))` nets (always
-/// at least one module), so a 10^5-module batch of tiny modules dispatches
+/// Ceiling on the per-shard weight budget work dispatch uses (nets, for
+/// parsed modules; see [`BatchItem::weight`]). The batch engine pulls
+/// waves of about `jobs ×` this much weight and cuts each into shards of
+/// consecutive items weighing at most
+/// `min(DEFAULT_SHARD_NET_BUDGET, ceil(wave_weight / jobs))` (always at
+/// least one item), so a 10^5-module batch of tiny modules dispatches
 /// chunky shards instead of contending on the work counter once per
-/// module, while worker count follows the net workload rather than the
+/// module, while worker count follows the workload rather than the
 /// module count.
 pub const DEFAULT_SHARD_NET_BUDGET: usize = 4096;
 
@@ -61,33 +63,96 @@ pub struct StreamSummary {
 }
 
 impl StreamSummary {
-    fn count(&mut self, module: &Module) {
-        self.modules += 1;
-        self.devices += module.device_count();
-        self.nets += module.net_count();
+    /// The totals of one module.
+    fn of(module: &Module) -> Self {
+        StreamSummary {
+            modules: 1,
+            devices: module.device_count(),
+            nets: module.net_count(),
+        }
+    }
+
+    fn add(&mut self, other: StreamSummary) {
+        self.modules += other.modules;
+        self.devices += other.devices;
+        self.nets += other.nets;
     }
 }
 
-/// Cuts a batch into shards of consecutive modules whose net counts sum to
-/// at most `min(cap, ceil(total / jobs))` (single modules may exceed the
-/// budget — a module is the smallest unit of work). Returns one
-/// `start..end` index range per shard, covering `0..net_counts.len()`.
-fn plan_shards(net_counts: &[usize], jobs: usize, cap: usize) -> Vec<std::ops::Range<usize>> {
-    let total: usize = net_counts.iter().sum();
+/// One unit of work for the batch engine ([`Pipeline::run_all_streaming`]):
+/// a module, or the text of one still to parse.
+///
+/// The engine sizes waves and shards by [`BatchItem::weight`] on the
+/// thread that pulls the stream, and calls [`BatchItem::module`] on
+/// whichever thread estimates the item. A parsed module weighs its nets
+/// and lends itself; an `.mnl` [`mnl::Chunk`] weighs its statements and
+/// parses itself there, so a file's parse spreads over the workers along
+/// with its estimation, and each parsed module lives and dies on one
+/// thread.
+pub trait BatchItem: Sync {
+    /// The item's share of a wave and of a shard.
+    fn weight(&self) -> usize;
+
+    /// The module to estimate.
+    ///
+    /// # Errors
+    ///
+    /// The item's parse error, which the engine reports in stream order
+    /// like an estimation error.
+    fn module(&self) -> Result<Cow<'_, Module>, NetlistError>;
+}
+
+impl BatchItem for Module {
+    fn weight(&self) -> usize {
+        self.net_count()
+    }
+
+    fn module(&self) -> Result<Cow<'_, Module>, NetlistError> {
+        Ok(Cow::Borrowed(self))
+    }
+}
+
+impl<T: BatchItem + ?Sized> BatchItem for &T {
+    fn weight(&self) -> usize {
+        (**self).weight()
+    }
+
+    fn module(&self) -> Result<Cow<'_, Module>, NetlistError> {
+        (**self).module()
+    }
+}
+
+impl BatchItem for mnl::Chunk<'_> {
+    fn weight(&self) -> usize {
+        self.statements()
+    }
+
+    fn module(&self) -> Result<Cow<'_, Module>, NetlistError> {
+        self.parse().map(Cow::Owned)
+    }
+}
+
+/// Cuts a batch into shards of consecutive items whose weights (a
+/// module's nets, see [`BatchItem::weight`]) sum to at most
+/// `min(cap, ceil(total / jobs))` (single items may exceed the budget —
+/// an item is the smallest unit of work). Returns one `start..end` index
+/// range per shard, covering `0..weights.len()`.
+fn plan_shards(weights: &[usize], jobs: usize, cap: usize) -> Vec<std::ops::Range<usize>> {
+    let total: usize = weights.iter().sum();
     let budget = total.div_ceil(jobs.max(1)).clamp(1, cap.max(1));
     let mut shards = Vec::new();
     let mut start = 0;
     let mut acc = 0usize;
-    for (i, &nets) in net_counts.iter().enumerate() {
-        if i > start && acc + nets > budget {
+    for (i, &weight) in weights.iter().enumerate() {
+        if i > start && acc + weight > budget {
             shards.push(start..i);
             start = i;
             acc = 0;
         }
-        acc += nets;
+        acc += weight;
     }
-    if start < net_counts.len() {
-        shards.push(start..net_counts.len());
+    if start < weights.len() {
+        shards.push(start..weights.len());
     }
     shards
 }
@@ -259,12 +324,12 @@ impl Pipeline {
     /// (module, technology, style)), or uncached when disabled.
     fn resolve_stats(
         &self,
-        module: &Module,
+        module: &Fingerprinted<'_>,
         style: LayoutStyle,
     ) -> Result<Arc<NetlistStats>, NetlistError> {
         match &self.stats {
-            Some(cache) => cache.resolve(module, &self.tech, style),
-            None => NetlistStats::resolve(module, &self.tech, style).map(Arc::new),
+            Some(cache) => cache.resolve_fingerprinted(module, &self.tech, style),
+            None => NetlistStats::resolve(module.module(), &self.tech, style).map(Arc::new),
         }
     }
 
@@ -278,10 +343,12 @@ impl Pipeline {
     pub fn run_module(&self, module: &Module) -> Result<EstimateRecord, NetlistError> {
         let _module_span = trace::span_with("pipeline.module", || module.name().to_owned());
         trace::counter("estimate.nets", module.net_count() as u64);
+        // One fingerprint keys the result memo and both style lookups.
+        let keyed = Fingerprinted::new(module);
         // The result memo's key: module content × technology × parameters.
         let key = self.results.as_ref().map(|_| {
             (
-                ModuleFingerprint::of(module),
+                keyed.fingerprint(),
                 self.tech.revision().id(),
                 params_digest(&self.sc_params),
             )
@@ -291,7 +358,7 @@ impl Pipeline {
                 return Ok((*record).clone());
             }
         }
-        let (sc, sc_candidates) = match self.resolve_stats(module, LayoutStyle::StandardCell) {
+        let (sc, sc_candidates) = match self.resolve_stats(&keyed, LayoutStyle::StandardCell) {
             Ok(stats) if stats.device_count() > 0 => {
                 let _sc_span = trace::span("estimate.standard_cell");
                 let primary =
@@ -307,7 +374,7 @@ impl Pipeline {
             }
             _ => (None, Vec::new()),
         };
-        let fc = match self.resolve_stats(module, LayoutStyle::FullCustom) {
+        let fc = match self.resolve_stats(&keyed, LayoutStyle::FullCustom) {
             Ok(stats) if stats.device_count() > 0 => {
                 let _fc_span = trace::span("estimate.full_custom");
                 Some(full_custom::estimate(&stats, &self.tech))
@@ -441,21 +508,33 @@ impl Pipeline {
         })
     }
 
-    /// The one worker pool: cuts a wave into net-budget shards
-    /// ([`plan_shards`]) and runs `min(jobs, shards)` scoped threads that
-    /// pull shard indices from a counter, so cheap and expensive modules
-    /// interleave while dispatch contention follows the net workload
-    /// rather than the module count. Returns the wave's results in module
-    /// order. Worker spans parent to `batch_id` explicitly — the spawning
-    /// thread's span stack is not visible from inside a worker thread.
-    fn run_shards<M: Borrow<Module> + Sync>(
+    /// Estimates one batch item on the calling thread: its module (parsed
+    /// here, for an unparsed chunk, and dropped here), the record, and the
+    /// module's share of the [`StreamSummary`].
+    fn run_item<W: BatchItem>(
         &self,
-        wave: &[M],
-        net_counts: &[usize],
+        item: &W,
+    ) -> Result<(EstimateRecord, StreamSummary), NetlistError> {
+        let module = item.module()?;
+        let record = self.run_module(&module)?;
+        Ok((record, StreamSummary::of(&module)))
+    }
+
+    /// The one worker pool: cuts a wave into weight-budget shards
+    /// ([`plan_shards`]) and runs `min(jobs, shards)` scoped threads that
+    /// pull shard indices from a counter, so cheap and expensive items
+    /// interleave while dispatch contention follows the workload rather
+    /// than the item count. Returns the wave's results in stream order.
+    /// Worker spans parent to `batch_id` explicitly — the spawning
+    /// thread's span stack is not visible from inside a worker thread.
+    fn run_shards<W: BatchItem>(
+        &self,
+        wave: &[W],
+        weights: &[usize],
         jobs: usize,
         batch_id: u64,
-    ) -> Vec<Result<EstimateRecord, NetlistError>> {
-        let shards = plan_shards(net_counts, jobs, self.shard_net_budget);
+    ) -> Vec<Result<(EstimateRecord, StreamSummary), NetlistError>> {
+        let shards = plan_shards(weights, jobs, self.shard_net_budget);
         let next = AtomicUsize::new(0);
         let mut done: Vec<(usize, Vec<_>)> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..jobs.min(shards.len()))
@@ -468,8 +547,8 @@ impl Pipeline {
                         let _worker = trace::span_under("pipeline.worker", batch_id, String::new);
                         let mut done = Vec::new();
                         while let Some(shard) = shards.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            let records = shard.clone().map(|i| self.run_module(wave[i].borrow()));
-                            done.push((shard.start, records.collect()));
+                            let results = shard.clone().map(|i| self.run_item(&wave[i]));
+                            done.push((shard.start, results.collect()));
                         }
                         done
                     })
@@ -481,28 +560,30 @@ impl Pipeline {
                 .collect()
         });
         done.sort_unstable_by_key(|&(start, _)| start);
-        done.into_iter().flat_map(|(_, records)| records).collect()
+        done.into_iter().flat_map(|(_, results)| results).collect()
     }
 
     /// The batch engine every other batch entry point adapts: estimates a
-    /// stream of modules (owned, or borrowed from an in-memory batch),
-    /// emitting each [`EstimateRecord`] through `sink` in module order.
+    /// stream of [`BatchItem`]s — modules, owned or borrowed from an
+    /// in-memory batch, or `.mnl` chunks each parsed by the thread that
+    /// estimates it — emitting each [`EstimateRecord`] through `sink` in
+    /// stream order.
     ///
-    /// The engine pulls the stream one *wave* at a time — modules until
-    /// their nets reach `jobs ×` [`DEFAULT_SHARD_NET_BUDGET`] (or the
-    /// [`Pipeline::with_shard_net_budget`] override), one module minimum
-    /// — and estimates the whole wave before pulling the next, so peak
-    /// residency is one wave of modules plus its records, regardless of
-    /// how many modules the stream yields. A million-device generated
-    /// chip estimates to completion in a bounded footprint.
+    /// The engine pulls the stream one *wave* at a time — items until
+    /// their weights reach `jobs ×` [`DEFAULT_SHARD_NET_BUDGET`] (or the
+    /// [`Pipeline::with_shard_net_budget`] override), one item minimum —
+    /// and estimates the whole wave before pulling the next, so peak
+    /// residency is one wave of items plus its records, regardless of
+    /// how many items the stream yields. A million-device generated chip
+    /// or `.mnl` file estimates to completion in a bounded footprint.
     ///
-    /// A wave runs in the calling thread, one module at a time, when
-    /// `jobs <= 1`, or when the whole batch is one wave carrying fewer
-    /// nets than the parallel threshold ([`DEFAULT_PARALLEL_NET_THRESHOLD`]
+    /// A wave runs in the calling thread, one item at a time, when
+    /// `jobs <= 1`, or when the whole batch is one wave weighing less
+    /// than the parallel threshold ([`DEFAULT_PARALLEL_NET_THRESHOLD`]
     /// unless overridden via [`Pipeline::with_parallel_threshold`]) —
     /// thread spawn cost swamps the estimation work on tiny batches.
     /// Otherwise the wave fans out over the sharded worker pool, which
-    /// hands its records back in module order. Either way the sink
+    /// hands its records back in stream order. Either way the sink
     /// observes exactly the serial emission order, and all workers
     /// memoize into this pipeline's one probability table.
     ///
@@ -512,67 +593,72 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Stops at the first failing module in stream order (later modules
-    /// of an in-flight parallel wave may have been estimated
-    /// speculatively; their records are discarded and later waves are
-    /// never pulled). Errors returned by the sink propagate the same way.
+    /// Stops at the first failing item in stream order — a parse error
+    /// or an estimation error alike (later items of an in-flight parallel
+    /// wave may have been estimated speculatively; their records are
+    /// discarded and later waves are never pulled). Errors returned by
+    /// the sink propagate the same way.
     pub fn run_all_streaming<I, S>(
         &self,
-        modules: I,
+        items: I,
         jobs: usize,
         mut sink: S,
     ) -> Result<StreamSummary, NetlistError>
     where
         I: IntoIterator,
-        I::Item: Borrow<Module> + Sync,
+        I::Item: BatchItem,
         S: FnMut(EstimateRecord) -> Result<(), NetlistError>,
     {
         let wave_budget = jobs.max(1).saturating_mul(self.shard_net_budget);
-        let mut stream = modules.into_iter().peekable();
-        let mut summary = StreamSummary::default();
-        // Pulls one wave: enough modules to keep every worker at a full
+        let mut stream = items.into_iter().peekable();
+        // Pulls one wave: enough items to keep every worker at a full
         // shard, never more — this bound is the RSS bound.
         let mut pull = || {
-            let (mut wave, mut net_counts, mut wave_nets) = (Vec::new(), Vec::new(), 0);
-            while wave_nets < wave_budget {
-                let Some(module) = stream.next() else { break };
-                summary.count(module.borrow());
-                wave_nets += module.borrow().net_count();
-                net_counts.push(module.borrow().net_count());
-                wave.push(module);
+            let (mut wave, mut weights, mut wave_weight) = (Vec::new(), Vec::new(), 0);
+            while wave_weight < wave_budget {
+                let Some(item) = stream.next() else { break };
+                let weight = item.weight();
+                wave_weight += weight;
+                weights.push(weight);
+                wave.push(item);
             }
-            (wave, net_counts, wave_nets, stream.peek().is_some())
+            (wave, weights, wave_weight, stream.peek().is_some())
         };
-        let (mut wave, mut net_counts, wave_nets, more) = pull();
-        let parallel = jobs > 1 && (more || wave_nets >= self.parallel_net_threshold);
+        let (mut wave, mut weights, wave_weight, more) = pull();
+        let parallel = jobs > 1 && (more || wave_weight >= self.parallel_net_threshold);
         let batch = trace::span_with("pipeline.run_all", || {
             let modules = format!("modules={}{}", wave.len(), if more { "+" } else { "" });
             if parallel {
-                let shards = plan_shards(&net_counts, jobs, self.shard_net_budget).len();
+                let shards = plan_shards(&weights, jobs, self.shard_net_budget).len();
                 format!("jobs={} {modules} shards={shards}", jobs.min(shards))
             } else {
                 format!("serial {modules}")
             }
         });
         let before = self.prob_snapshot();
+        let mut summary = StreamSummary::default();
+        let mut emit = |result: Result<(EstimateRecord, StreamSummary), NetlistError>| {
+            let (record, one) = result?;
+            summary.add(one);
+            sink(record)
+        };
         let outcome = loop {
             if wave.is_empty() {
                 break Ok(());
             }
             let emitted = if parallel {
-                self.run_shards(&wave, &net_counts, jobs, batch.id())
+                self.run_shards(&wave, &weights, jobs, batch.id())
                     .into_iter()
-                    .try_for_each(|record| record.and_then(&mut sink))
+                    .try_for_each(&mut emit)
             } else {
-                wave.iter()
-                    .try_for_each(|module| self.run_module(module.borrow()).and_then(&mut sink))
+                wave.iter().try_for_each(|item| emit(self.run_item(item)))
             };
             if emitted.is_err() {
                 break emitted;
             }
             // Release this wave before pulling the next.
             drop(wave);
-            (wave, net_counts, _, _) = pull();
+            (wave, weights, _, _) = pull();
         };
         self.emit_prob_delta(before);
         outcome.map(|()| summary)
@@ -865,6 +951,68 @@ mod tests {
                 .run_all_streaming(modules.iter().cloned(), jobs, |_| Ok(()))
                 .unwrap_err();
             assert_eq!(format!("{serial}"), format!("{err}"), "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn unparsed_chunks_stream_like_their_parsed_modules() {
+        let modules: Vec<_> = (2..10).map(generate::counter).collect();
+        let text: String = modules.iter().map(mnl::to_mnl).collect();
+        let reference = Pipeline::new(builtin::nmos25())
+            .run_all(modules.iter())
+            .expect("in-memory run")
+            .to_json()
+            .unwrap();
+        let totals = StreamSummary {
+            modules: modules.len(),
+            devices: modules.iter().map(Module::device_count).sum(),
+            nets: modules.iter().map(Module::net_count).sum(),
+        };
+        // A small budget cuts the chunks into several parallel waves.
+        for budget in [DEFAULT_SHARD_NET_BUDGET, 8] {
+            let p = Pipeline::new(builtin::nmos25())
+                .with_shard_net_budget(budget)
+                .with_parallel_threshold(0);
+            for jobs in [1, 2, 8] {
+                let mut db = ResultsDb::new();
+                let summary = p
+                    .run_all_streaming(mnl::chunks(&text), jobs, |rec| {
+                        db.insert(rec);
+                        Ok(())
+                    })
+                    .expect("chunks estimate");
+                assert_eq!(summary, totals, "budget={budget} jobs={jobs}");
+                assert_eq!(
+                    db.to_json().unwrap(),
+                    reference,
+                    "budget={budget} jobs={jobs}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_chunk_stops_the_stream_after_the_records_before_it() {
+        let modules: Vec<_> = (2..10).map(generate::counter).collect();
+        let mut texts: Vec<String> = modules.iter().map(mnl::to_mnl).collect();
+        texts[5] = texts[5].replacen(";\n", ";\nfrobnicate;\n", 1);
+        let text = texts.concat();
+        let expected = mnl::parse_design(&text).unwrap_err();
+        assert!(expected.to_string().contains("frobnicate"), "{expected}");
+        let p = Pipeline::new(builtin::nmos25())
+            .with_shard_net_budget(8)
+            .with_parallel_threshold(0);
+        for jobs in [1, 2, 8] {
+            let mut names = Vec::new();
+            let err = p
+                .run_all_streaming(mnl::chunks(&text), jobs, |rec| {
+                    names.push(rec.module_name);
+                    Ok(())
+                })
+                .unwrap_err();
+            assert_eq!(err, expected, "jobs={jobs}");
+            let before: Vec<&str> = modules[..5].iter().map(Module::name).collect();
+            assert_eq!(names, before, "jobs={jobs}");
         }
     }
 

@@ -224,25 +224,25 @@ fn cmd_estimate(opts: &Options) -> Result<(), String> {
         return Err("--since diffs whole revisions in memory; drop --stream".to_owned());
     }
     if opts.stream {
-        // Streaming path: files are read whole but parsed one module at a
-        // time, generated modules are built lazily, and every result
-        // leaves through stdout as soon as its wave completes. Peak
-        // memory holds the file text plus one wave, never the parsed
-        // chip. A parse error ends the stream in input order: the records
-        // before it are out, then the command fails.
+        // Streaming path: files are read whole and cut into module
+        // chunks that the batch workers parse, generated modules are
+        // built lazily, and every result leaves through stdout once its
+        // wave completes. Peak memory holds the file text plus one wave,
+        // never the parsed chip. A parse error ends the stream in input
+        // order: the records before it are out, then the command fails.
         let started = std::time::Instant::now();
         let files = opts
             .files
             .iter()
             .map(|file| ops::SchematicFile::read(file))
             .collect::<Result<Vec<_>, _>>()?;
-        let stream = files
-            .iter()
-            .flat_map(ops::SchematicFile::modules)
-            .chain(specs.iter().flat_map(|spec| spec.modules().map(Ok)));
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        let summary = ops::estimate_stream(&pipeline, stream, opts.jobs, opts.json, &mut out)?;
+        let items = files.iter().flat_map(ops::SchematicFile::modules).chain(
+            specs
+                .iter()
+                .flat_map(|spec| spec.modules().map(|m| ops::StreamItem::Parsed(Ok(m)))),
+        );
+        let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+        let summary = ops::estimate_stream(&pipeline, items, opts.jobs, opts.json, &mut out)?;
         let elapsed = started.elapsed().as_secs_f64();
         if maestro::trace::enabled() {
             maestro::trace::counter("estimate.devices", summary.devices as u64);

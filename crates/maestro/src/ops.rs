@@ -7,12 +7,12 @@
 //! text the CLI prints (every line `\n`-terminated), the CLI `print!`s
 //! it and the daemon ships it as a response payload.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
-use maestro_estimator::pipeline::{IncrementalRun, Pipeline, StreamSummary};
+use maestro_estimator::pipeline::{BatchItem, IncrementalRun, Pipeline, StreamSummary};
 use maestro_estimator::report::{EstimateRecord, ResultsDb};
 use maestro_floorplan::{backend, Block, Floorplan, PlanParams};
 use maestro_fullcustom::{synthesize, synthesize_seeded, SynthesisParams, WarmStore};
@@ -34,7 +34,7 @@ pub fn load_tech(spec: &str) -> Result<ProcessDb, String> {
 }
 
 /// One schematic file's text, read whole; [`SchematicFile::modules`]
-/// parses it on demand.
+/// yields its modules for parsing on demand.
 pub struct SchematicFile {
     path: String,
     source: String,
@@ -68,25 +68,70 @@ impl SchematicFile {
         })
     }
 
-    /// The file's modules in order, each parsed when the caller pulls it
-    /// (a `.mnl` design through [`mnl::modules`]; a SPICE deck is one
-    /// module). An error carries the `FILE: ` prefix and ends the
-    /// sequence.
-    pub fn modules(&self) -> Box<dyn Iterator<Item = Result<Module, String>> + '_> {
-        let located = |e: NetlistError| format!("{}: {e}", self.path);
+    /// The file's modules in order, as batch-engine items
+    /// ([`StreamItem`]): a `.mnl` design cut into chunks for whoever
+    /// estimates them to parse, or a SPICE deck parsed here, as one
+    /// module, when the caller pulls it.
+    pub fn modules(&self) -> Box<dyn Iterator<Item = StreamItem<'_>> + '_> {
         if self.spice {
             Box::new(std::iter::once_with(move || {
-                spice::parse(&self.source).map_err(located)
+                StreamItem::Parsed(spice::parse(&self.source).map_err(|e| self.locate(e)))
             }))
         } else {
-            Box::new(mnl::modules(&self.source).map(move |m| m.map_err(located)))
+            Box::new(
+                mnl::chunks(&self.source).map(move |chunk| StreamItem::Chunk(&self.path, chunk)),
+            )
+        }
+    }
+
+    /// `error`, prefixed with this file's path.
+    fn locate(&self, error: NetlistError) -> NetlistError {
+        NetlistError::in_file(&self.path, error)
+    }
+}
+
+/// One item of a streamed estimate ([`estimate_stream`]).
+pub enum StreamItem<'a> {
+    /// A `.mnl` module still in text form, with its file's path: the
+    /// engine worker that estimates it parses it, and a parse error
+    /// reads `FILE: line N: …`.
+    Chunk(&'a str, mnl::Chunk<'a>),
+    /// A module parsed up front (a SPICE deck, a generated chip module),
+    /// or the error its parse hit, reported in its place.
+    Parsed(Result<Module, NetlistError>),
+}
+
+impl BatchItem for StreamItem<'_> {
+    fn weight(&self) -> usize {
+        match self {
+            StreamItem::Chunk(_, chunk) => chunk.weight(),
+            StreamItem::Parsed(Ok(module)) => module.weight(),
+            StreamItem::Parsed(Err(_)) => 0,
+        }
+    }
+
+    fn module(&self) -> Result<Cow<'_, Module>, NetlistError> {
+        match self {
+            StreamItem::Chunk(path, chunk) => {
+                chunk.module().map_err(|e| NetlistError::in_file(*path, e))
+            }
+            StreamItem::Parsed(Ok(module)) => module.module(),
+            StreamItem::Parsed(Err(e)) => Err(e.clone()),
         }
     }
 }
 
-/// Loads the modules of one schematic file (see [`SchematicFile`]).
+/// Loads the modules of one schematic file (see [`SchematicFile`]),
+/// parsed in order; the first error, `FILE: `-prefixed, ends the load.
 pub fn load_modules(path: &str) -> Result<Vec<Module>, String> {
-    SchematicFile::read(path)?.modules().collect()
+    SchematicFile::read(path)?
+        .modules()
+        .map(|item| {
+            item.module()
+                .map(Cow::into_owned)
+                .map_err(|e| e.to_string())
+        })
+        .collect()
 }
 
 /// Parses one inline `.mnl` source (serve requests carry schematics in
@@ -172,48 +217,45 @@ pub fn estimate_record_text(rec: &EstimateRecord) -> String {
 }
 
 /// Runs the estimate batch through [`Pipeline::run_all_streaming`],
-/// writing each module's result to `out` the moment it is ready: the text
-/// block of [`estimate_record_text`], or (with `json`) one compact JSON
-/// record per line. Peak memory holds one wave of modules, never the
-/// whole batch or its results — this is the path that digests
-/// million-device chips.
+/// writing each module's result to `out` in stream order as its wave
+/// completes: the text block of [`estimate_record_text`], or (with
+/// `json`) one compact JSON record per line. Peak memory holds one wave
+/// of items, never the whole batch or its results — this is the path
+/// that digests million-device chips.
 ///
-/// `modules` may fail part-way, as a lazily parsed file does at its first
-/// bad module. The stream ends there: the records of every module before
-/// it are written, then the error is returned. That is the order the
-/// engine keeps for an estimation error.
+/// An item may fail to parse, as a `.mnl` chunk with a syntax error
+/// does. That is an ordinary engine error: the records of every item
+/// before it are written, then the error is returned, the order the
+/// engine keeps for an estimation error. `out` is flushed on success and
+/// on failure alike, so a buffered writer loses nothing.
 pub fn estimate_stream<I, W>(
     pipeline: &Pipeline,
-    modules: I,
+    items: I,
     jobs: usize,
     json: bool,
     out: &mut W,
 ) -> Result<StreamSummary, String>
 where
-    I: IntoIterator<Item = Result<Module, String>>,
+    I: IntoIterator,
+    I::Item: BatchItem,
     W: std::io::Write,
 {
-    let mut failed = None;
-    let modules = modules
-        .into_iter()
-        .map_while(|module| module.map_err(|e| failed = Some(e)).ok())
-        .fuse();
-    let summary = pipeline
-        .run_all_streaming(modules, jobs, |rec| {
-            let rendered = if json {
-                let mut line = serde_json::to_string(&rec)
-                    .map_err(|e| NetlistError::invalid(format!("record serialization: {e}")))?;
-                line.push('\n');
-                line
-            } else {
-                estimate_record_text(&rec)
-            };
-            out.write_all(rendered.as_bytes())
-                .map_err(|e| NetlistError::invalid(format!("write: {e}")))
-        })
-        .map_err(|e| e.to_string())?;
-    out.flush().map_err(|e| e.to_string())?;
-    failed.map_or(Ok(summary), Err)
+    let summary = pipeline.run_all_streaming(items, jobs, |rec| {
+        let rendered = if json {
+            let mut line = serde_json::to_string(&rec)
+                .map_err(|e| NetlistError::invalid(format!("record serialization: {e}")))?;
+            line.push('\n');
+            line
+        } else {
+            estimate_record_text(&rec)
+        };
+        out.write_all(rendered.as_bytes())
+            .map_err(|e| NetlistError::invalid(format!("write: {e}")))
+    });
+    let flushed = out.flush();
+    let summary = summary.map_err(|e| e.to_string())?;
+    flushed.map_err(|e| e.to_string())?;
+    Ok(summary)
 }
 
 /// Renders a generated chip spec's one-line summary.

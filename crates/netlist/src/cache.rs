@@ -24,6 +24,7 @@
 //! trace counter increment (no-ops when tracing is disabled), so traced
 //! runs surface cache effectiveness in `perf-report`.
 
+use std::cell::OnceCell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -99,6 +100,40 @@ impl ModuleFingerprint {
             }
         }
         ModuleFingerprint(content_hash128(&h.0))
+    }
+}
+
+/// A module with its [`ModuleFingerprint`], hashed on first use and then
+/// reused, so one module keys any number of cache lookups for the price
+/// of one fingerprint: `Pipeline::run_module` keys both style lookups
+/// and the results memo with one. Only [`Fingerprinted::new`] makes one,
+/// from the module itself, so the fingerprint always belongs to the
+/// module it travels with.
+#[derive(Debug)]
+pub struct Fingerprinted<'m> {
+    module: &'m Module,
+    fingerprint: OnceCell<ModuleFingerprint>,
+}
+
+impl<'m> Fingerprinted<'m> {
+    /// Wraps `module`; nothing is hashed until a key is needed.
+    pub fn new(module: &'m Module) -> Self {
+        Fingerprinted {
+            module,
+            fingerprint: OnceCell::new(),
+        }
+    }
+
+    /// The module.
+    pub fn module(&self) -> &'m Module {
+        self.module
+    }
+
+    /// The module's fingerprint, computed on the first call only.
+    pub fn fingerprint(&self) -> ModuleFingerprint {
+        *self
+            .fingerprint
+            .get_or_init(|| ModuleFingerprint::of(self.module))
     }
 }
 
@@ -191,9 +226,25 @@ impl StatsCache {
         tech: &ProcessDb,
         style: LayoutStyle,
     ) -> Result<Arc<NetlistStats>, NetlistError> {
-        let key = (ModuleFingerprint::of(module), tech.revision().id(), style);
+        self.resolve_fingerprinted(&Fingerprinted::new(module), tech, style)
+    }
+
+    /// [`StatsCache::resolve`] for a module whose fingerprint may already
+    /// be known: a caller resolving several styles of one module hashes
+    /// it once.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors of [`NetlistStats::resolve`].
+    pub fn resolve_fingerprinted(
+        &self,
+        module: &Fingerprinted<'_>,
+        tech: &ProcessDb,
+        style: LayoutStyle,
+    ) -> Result<Arc<NetlistStats>, NetlistError> {
+        let key = (module.fingerprint(), tech.revision().id(), style);
         self.memo.get_or_insert_with(key, || {
-            NetlistStats::resolve(module, tech, style).map(Arc::new)
+            NetlistStats::resolve(module.module(), tech, style).map(Arc::new)
         })
     }
 
@@ -306,6 +357,25 @@ mod tests {
         let again = cache.resolve(&m, &tech, LayoutStyle::FullCustom).unwrap();
         assert!(Arc::ptr_eq(&old, &again));
         assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn a_fingerprinted_module_hashes_once_and_keys_like_resolve() {
+        let cache = StatsCache::new();
+        let tech = builtin::nmos25();
+        let m = library_circuits::nmos_full_adder();
+        let keyed = Fingerprinted::new(&m);
+        assert!(keyed.fingerprint.get().is_none(), "nothing hashed up front");
+        for style in [LayoutStyle::StandardCell, LayoutStyle::FullCustom] {
+            let _ = cache.resolve_fingerprinted(&keyed, &tech, style);
+        }
+        assert_eq!(keyed.fingerprint(), ModuleFingerprint::of(&m));
+        // The plain entry point lands on the same two entries.
+        for style in [LayoutStyle::StandardCell, LayoutStyle::FullCustom] {
+            let _ = cache.resolve(&m, &tech, style);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (2, 2, 2));
     }
 
     #[test]

@@ -57,6 +57,13 @@ pub enum NetlistError {
         /// Explanation of the violation.
         message: String,
     },
+    /// An error in a named source file: `FILE: …` in front of the error.
+    InFile {
+        /// The file, as named by the caller.
+        path: String,
+        /// The error inside it.
+        error: Box<NetlistError>,
+    },
 }
 
 impl NetlistError {
@@ -75,6 +82,14 @@ impl NetlistError {
             message: message.into(),
         }
     }
+
+    /// Locates `error` in the file `path`.
+    pub fn in_file(path: impl Into<String>, error: NetlistError) -> Self {
+        NetlistError::InFile {
+            path: path.into(),
+            error: Box::new(error),
+        }
+    }
 }
 
 impl fmt::Display for NetlistError {
@@ -89,6 +104,7 @@ impl fmt::Display for NetlistError {
                 write!(f, "device `{device}` uses unknown template `{template}`")
             }
             NetlistError::Invalid { message } => write!(f, "invalid netlist: {message}"),
+            NetlistError::InFile { path, error } => write!(f, "{path}: {error}"),
         }
     }
 }
@@ -112,6 +128,16 @@ mod tests {
             template: "NAND99".to_owned(),
         };
         assert!(e.to_string().contains("NAND99"));
+    }
+
+    #[test]
+    fn display_in_file_prefixes_the_path() {
+        let inner = NetlistError::parse(ParseErrorKind::UnexpectedEof, 3, "expected `;`");
+        let e = NetlistError::in_file("chip.mnl", inner);
+        assert_eq!(
+            e.to_string(),
+            "chip.mnl: line 3: unexpected end of input: expected `;`"
+        );
     }
 
     #[test]

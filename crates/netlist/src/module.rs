@@ -1,6 +1,6 @@
 //! The in-memory schematic graph: modules, devices, nets and ports.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -416,15 +416,13 @@ impl ModuleBuilder {
         );
         let id = DeviceId::new(self.devices.len() as u32);
         let mut bound: Vec<(String, NetId)> = Vec::new();
+        let mut seen = PinNames::default();
         for (pin, net) in pins {
             assert!(
                 net.index() < self.nets.len(),
                 "device `{name}` pin `{pin}` bound to foreign net {net}"
             );
-            assert!(
-                bound.iter().all(|(p, _)| p != pin),
-                "device `{name}` binds pin `{pin}` twice"
-            );
+            assert!(seen.insert(pin), "device `{name}` binds pin `{pin}` twice");
             bound.push((pin.to_owned(), net));
             self.nets[net.index()].pins.push(PinRef {
                 device: id,
@@ -456,9 +454,65 @@ impl ModuleBuilder {
     }
 }
 
+/// Pins past this count on one device go into a hash set; up to it, the
+/// duplicate-pin check scans an inline array and allocates nothing.
+const PIN_SCAN_LIMIT: usize = 8;
+
+/// The pin names bound so far on one device: the duplicate-pin check of
+/// [`ModuleBuilder::device`] and of the `.mnl` parser. Common cells stay
+/// on a linear scan of at most [`PIN_SCAN_LIMIT`] names; a wider device
+/// switches to a hash set, so checking `n` pins costs O(n), not the
+/// O(n²) name comparisons a scan would take.
+#[derive(Debug, Default)]
+pub(crate) struct PinNames<'p> {
+    few: [&'p str; PIN_SCAN_LIMIT],
+    len: usize,
+    many: HashSet<&'p str>,
+}
+
+impl<'p> PinNames<'p> {
+    /// Records `pin`; returns `false` if it was already bound.
+    pub(crate) fn insert(&mut self, pin: &'p str) -> bool {
+        if self.len < PIN_SCAN_LIMIT {
+            if self.few[..self.len].contains(&pin) {
+                return false;
+            }
+            self.few[self.len] = pin;
+            self.len += 1;
+            return true;
+        }
+        if self.many.is_empty() {
+            self.many.extend(self.few);
+        }
+        self.many.insert(pin)
+    }
+
+    /// Forgets every name, keeping the set's allocation for the next
+    /// wide device (an empty set is not cleared again, so one wide device
+    /// costs nothing per later narrow one).
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+        if !self.many.is_empty() {
+            self.many.clear();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pin_names_report_repeats_before_and_after_the_spill() {
+        let names: Vec<String> = (0..3 * PIN_SCAN_LIMIT).map(|i| format!("P{i}")).collect();
+        let mut seen = PinNames::default();
+        for (i, name) in names.iter().enumerate() {
+            assert!(seen.insert(name), "{name} is new");
+            assert!(!seen.insert(&names[i / 2]), "{} is a repeat", names[i / 2]);
+        }
+        seen.clear();
+        assert!(seen.insert(&names[0]), "a cleared set is empty");
+    }
 
     fn two_inverters() -> Module {
         let mut b = ModuleBuilder::new("buf2");

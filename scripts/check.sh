@@ -48,16 +48,20 @@ cargo test -q --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy (first-party crates) -- -D warnings"
 cargo clippy --all-targets "${FIRST_PARTY[@]}" -- -D warnings
 
-echo "==> no debug_assert!-only guards in the sharding/chip-generation/lexer paths"
+echo "==> no debug_assert!-only guards in the sharding/chip-generation/lexer/builder paths"
 # Release builds compile debug_assert! away, so a bounds or overflow guard
 # written that way silently vanishes exactly where million-device runs
 # need it. The batch sharding and chip generators must guard with real
 # checks (validated errors or clamps), never debug-only assertions. The
-# .mnl lexer indexes raw bytes of untrusted daemon input, so its bounds
-# guards fall under the same rule.
-SHARDING_PATHS=(crates/core/src/pipeline.rs crates/netlist/src/chip.rs crates/netlist/src/mnl.rs)
+# .mnl lexer and module scanner index raw bytes of untrusted daemon input,
+# and the module builder checks its pins one by one, so their guards fall
+# under the same rule.
+SHARDING_PATHS=(
+    crates/core/src/pipeline.rs crates/netlist/src/chip.rs crates/netlist/src/mnl.rs
+    crates/netlist/src/module.rs
+)
 if grep -n "debug_assert" "${SHARDING_PATHS[@]}"; then
-    echo "error: debug_assert! found in sharding/chip/lexer code (use a real guard)" >&2
+    echo "error: debug_assert! found in sharding/chip/lexer/builder code (use a real guard)" >&2
     exit 1
 fi
 

@@ -330,6 +330,163 @@ fn estimate_stream_prints_the_records_before_a_parse_error() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A generated `mixed:20k` chip's modules as canonical `.mnl` texts, in
+/// file order, and the index of the last module of its second `--jobs 2`
+/// wave (the engine weighs an unparsed module by its statements).
+fn chip_modules(dir: &std::path::Path) -> (Vec<String>, usize) {
+    let path = dir.join("chip.mnl").to_string_lossy().into_owned();
+    let generated = cli()
+        .args(["generate", "mixed:20k", "--out", &path])
+        .output()
+        .expect("runs");
+    assert!(generated.status.success());
+    let text = std::fs::read_to_string(&path).expect("chip reads");
+    let modules: Vec<String> = maestro::netlist::mnl::split_design(&text)
+        .expect("generated text is canonical")
+        .into_iter()
+        .map(str::to_owned)
+        .collect();
+    let wave = 2 * maestro::estimator::pipeline::DEFAULT_SHARD_NET_BUDGET;
+    let (mut waves, mut weight) = (0, 0);
+    for (i, module) in modules.iter().enumerate() {
+        weight += module.matches(';').count();
+        if weight >= wave {
+            waves += 1;
+            if waves == 2 {
+                assert!(i + 10 < modules.len(), "waves follow the second");
+                return (modules, i);
+            }
+            weight = 0;
+        }
+    }
+    panic!("a mixed:20k chip spans more than two --jobs 2 waves");
+}
+
+/// Checks a failing `estimate FILE --stream --json` at `--jobs 1/2/8`
+/// against non-stream runs: stdout holds exactly the records of `good`
+/// (the modules before the failure), and stderr is what `estimate
+/// REFERENCE --json` prints — the same file for a parse error, or the
+/// modules through the failing one for an estimation error, which the
+/// non-stream run would otherwise hide behind a later parse error.
+fn assert_stream_fails_like(file: &str, good: &str, reference: &str) {
+    let good = cli()
+        .args(["estimate", good, "--json"])
+        .output()
+        .expect("runs");
+    assert!(good.status.success());
+    let db = maestro::estimator::ResultsDb::from_json(&String::from_utf8_lossy(&good.stdout))
+        .expect("good prefix parses");
+    let reference = cli()
+        .args(["estimate", reference, "--json"])
+        .output()
+        .expect("runs");
+    assert!(!reference.status.success());
+    assert!(reference.stdout.is_empty());
+    for jobs in ["1", "2", "8"] {
+        let streamed = cli()
+            .args(["estimate", file, "--stream", "--json", "--jobs", jobs])
+            .output()
+            .expect("runs");
+        assert!(!streamed.status.success(), "--jobs {jobs}");
+        assert_eq!(
+            stream_records(&streamed.stdout).as_slice(),
+            db.records(),
+            "--jobs {jobs}: the records before the failure"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&streamed.stderr),
+            String::from_utf8_lossy(&reference.stderr),
+            "--jobs {jobs}"
+        );
+    }
+}
+
+/// Writes `modules` as one `.mnl` file in `dir` and returns its path.
+fn write_design(dir: &std::path::Path, name: &str, modules: &[String]) -> String {
+    let path = dir.join(name);
+    std::fs::write(&path, modules.concat()).expect("write");
+    path.to_string_lossy().into_owned()
+}
+
+#[test]
+fn estimate_stream_reports_a_bad_module_late_in_a_parallel_wave() {
+    let dir = scratch_dir("stream-late-bad-module-test");
+    let (mut modules, late) = chip_modules(&dir);
+    // Drop the `;` before the module's `endmodule`: its text runs on into
+    // the next module, and the parse fails at that `endmodule`.
+    let end = modules[late]
+        .rfind(";\nendmodule")
+        .expect("a statement before endmodule");
+    modules[late].remove(end);
+    let file = write_design(&dir, "bad.mnl", &modules);
+    let good = write_design(&dir, "good.mnl", &modules[..late]);
+    let whole = cli()
+        .args(["estimate", &file, "--json"])
+        .output()
+        .expect("runs");
+    let err = String::from_utf8_lossy(&whole.stderr);
+    assert!(
+        err.starts_with(&format!("error: {file}: line "))
+            && err.contains("found Ident(\"endmodule\")"),
+        "{err}"
+    );
+    assert_stream_fails_like(&file, &good, &file);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn estimate_stream_reports_a_duplicate_module_across_waves() {
+    let dir = scratch_dir("stream-duplicate-module-test");
+    let (mut modules, late) = chip_modules(&dir);
+    let first = modules[0].lines().next().expect("a header").to_owned();
+    let header = modules[late].lines().next().expect("a header").to_owned();
+    modules[late] = modules[late].replacen(&header, &first, 1);
+    let file = write_design(&dir, "dup.mnl", &modules);
+    let good = write_design(&dir, "good.mnl", &modules[..late]);
+    let line = 1 + modules[..late].concat().lines().count();
+    let whole = cli()
+        .args(["estimate", &file, "--json"])
+        .output()
+        .expect("runs");
+    let name = first.trim_start_matches("module ").trim_end_matches(';');
+    assert_eq!(
+        String::from_utf8_lossy(&whole.stderr),
+        format!("error: {file}: line {line}: duplicate name: module `{name}` defined twice\n")
+    );
+    assert_stream_fails_like(&file, &good, &file);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn estimate_stream_reports_an_estimate_error_before_a_later_parse_error() {
+    let dir = scratch_dir("stream-estimate-then-parse-error-test");
+    let (mut modules, late) = chip_modules(&dir);
+    // A template neither table knows, late in the second wave, then a
+    // parse error a few modules on.
+    let (device, rest) = modules[late]
+        .split_once("\ndevice ")
+        .map(|(head, tail)| (format!("{head}\ndevice "), tail.to_owned()))
+        .expect("a device line");
+    let (name, after) = rest.split_once(' ').expect("a template follows");
+    let template_end = after.find(' ').expect("pins follow");
+    modules[late] = format!("{device}{name} QUANTUM{}", &after[template_end..]);
+    let header_end = modules[late + 3].find('\n').expect("a header") + 1;
+    modules[late + 3].insert_str(header_end, "frobnicate;\n");
+    let file = write_design(&dir, "bad.mnl", &modules);
+    let good = write_design(&dir, "good.mnl", &modules[..late]);
+    let through = write_design(&dir, "through.mnl", &modules[..=late]);
+    let whole = cli()
+        .args(["estimate", &file, "--json"])
+        .output()
+        .expect("runs");
+    assert!(
+        String::from_utf8_lossy(&whole.stderr).contains("unknown statement `frobnicate`"),
+        "the non-stream run parses everything first"
+    );
+    assert_stream_fails_like(&file, &good, &through);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn expand_emits_parsable_transistor_mnl() {
     let out = cli()
