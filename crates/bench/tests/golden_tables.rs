@@ -3,7 +3,10 @@
 //! byte-for-byte against committed fixtures under `tests/golden/`, so any
 //! change to the estimators, the synthesizer, or the place & route
 //! substrate that shifts a reproduced number shows up as a reviewable
-//! fixture diff.
+//! fixture diff. A third fixture pins the two slicing annealers
+//! themselves: every floorplan backend's placements over the Table 1/2
+//! blocks, and the synthesizer's tile placements for the Table 1
+//! circuits.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -13,6 +16,13 @@
 
 use std::path::PathBuf;
 
+use maestro::floorplan::backend::registry;
+use maestro::floorplan::shootout::paper_cases;
+use maestro::floorplan::PlanParams;
+use maestro::fullcustom::{synthesize, SynthesisParams};
+use maestro::geom::Rect;
+use maestro::netlist::{library_circuits, DeviceId};
+use maestro::tech::builtin;
 use maestro_bench::{table1, table2};
 use serde::Serialize;
 
@@ -136,4 +146,115 @@ fn table2_matches_golden_fixture() {
         })
         .collect();
     assert_matches_golden("table2.json", &Table2Snapshot { rows });
+}
+
+/// One placed rectangle, keyed by block or device name.
+#[derive(Serialize)]
+struct Placed {
+    name: String,
+    x: i64,
+    y: i64,
+    width: i64,
+    height: i64,
+}
+
+impl Placed {
+    fn new(name: &str, r: Rect) -> Placed {
+        Placed {
+            name: name.to_owned(),
+            x: r.origin().x.get(),
+            y: r.origin().y.get(),
+            width: r.width().get(),
+            height: r.height().get(),
+        }
+    }
+}
+
+#[derive(Serialize)]
+struct PlanRow {
+    params: &'static str,
+    case: String,
+    backend: String,
+    width: i64,
+    height: i64,
+    placements: Vec<Placed>,
+}
+
+#[derive(Serialize)]
+struct SynthRow {
+    circuit: String,
+    width: i64,
+    height: i64,
+    placements: Vec<Placed>,
+}
+
+#[derive(Serialize)]
+struct FloorplanSnapshot {
+    floorplans: Vec<PlanRow>,
+    synthesis: Vec<SynthRow>,
+}
+
+#[test]
+fn floorplans_and_tile_placements_match_golden_fixture() {
+    let cases: Vec<_> = paper_cases()
+        .expect("shootout suite builds")
+        .into_iter()
+        .filter(|c| c.name == "table1" || c.name == "table2")
+        .collect();
+    let settings = [
+        ("default", PlanParams::default()),
+        (
+            "aspect1.5_replicas3",
+            PlanParams {
+                replicas: 3,
+                ..PlanParams::default().with_aspect_limit(1.5)
+            },
+        ),
+    ];
+    let mut floorplans = Vec::new();
+    for (label, params) in &settings {
+        for case in &cases {
+            for backend in registry(params) {
+                let plan = backend.plan(&case.blocks, Some(&case.netlist)).plan;
+                floorplans.push(PlanRow {
+                    params: label,
+                    case: case.name.clone(),
+                    backend: backend.name().to_owned(),
+                    width: plan.width().get(),
+                    height: plan.height().get(),
+                    placements: plan
+                        .placements()
+                        .iter()
+                        .map(|(name, r)| Placed::new(name, *r))
+                        .collect(),
+                });
+            }
+        }
+    }
+
+    let tech = builtin::nmos25();
+    let synthesis = library_circuits::table1_suite()
+        .iter()
+        .map(|m| {
+            let layout = synthesize(m, &tech, &SynthesisParams::default()).expect("synthesizes");
+            SynthRow {
+                circuit: m.name().to_owned(),
+                width: layout.width().get(),
+                height: layout.height().get(),
+                placements: layout
+                    .placements()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| Placed::new(m.device(DeviceId::new(i as u32)).name(), *r))
+                    .collect(),
+            }
+        })
+        .collect();
+    assert_matches_golden(
+        "floorplan.json",
+        &FloorplanSnapshot {
+            floorplans,
+            synthesis,
+        },
+    );
 }
