@@ -26,10 +26,10 @@
 
 use std::cmp::Reverse;
 
+use maestro_place::postfix::{Cut, Elem, PolishExpr};
+
 use crate::connectivity::ChipNetlist;
-use crate::plan::{
-    eval_slicing, floorplan_seeded, serpentine_elems, Cut, Elem, EvalMode, Floorplan, PlanParams,
-};
+use crate::plan::{eval_slicing, floorplan_seeded, EvalMode, Floorplan, PlanParams};
 use crate::Block;
 
 /// The result of one backend run: the plan plus whatever the backend
@@ -107,12 +107,15 @@ impl FloorplanBackend for Annealing {
     }
 
     fn plan(&self, blocks: &[Block], _netlist: Option<&ChipNetlist>) -> BackendRun {
-        let elems = if self.warm_start {
-            spanning_elems(blocks)
-        } else {
-            serpentine_elems(blocks.len())
+        let seed = || {
+            if self.warm_start {
+                PolishExpr::from_elems(spanning_elems(blocks))
+                    .expect("a bisection is a valid slicing expression")
+            } else {
+                PolishExpr::initial(blocks.len())
+            }
         };
-        let (plan, counters) = floorplan_seeded(blocks, &self.params, EvalMode::Delta, elems);
+        let (plan, counters) = floorplan_seeded(blocks, &self.params, EvalMode::Delta, seed);
         BackendRun {
             plan,
             counters: vec![
@@ -205,7 +208,7 @@ pub(crate) fn spanning_elems(blocks: &[Block]) -> Vec<Elem> {
 /// Emits the postfix expression for one area-balanced bisection level.
 fn bisect(order: &[u32], areas: &[i64], depth: usize, out: &mut Vec<Elem>) {
     if order.len() == 1 {
-        out.push(Elem::Leaf(order[0]));
+        out.push(Elem::Operand(order[0]));
         return;
     }
     // Split after the prefix whose area is closest to half the total.
@@ -265,6 +268,7 @@ mod tests {
     use super::*;
     use crate::plan::floorplan;
     use maestro_geom::{Lambda, LambdaArea, Rect};
+    use proptest::prelude::*;
 
     fn soft(name: &str, area: i64) -> Block {
         Block::soft(name, LambdaArea::new(area), 5)
@@ -393,5 +397,30 @@ mod tests {
             assert_eq!(backend.name(), *name);
         }
         assert!(by_name("simplex", &PlanParams::default()).is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The warm start hands the annealer a validated expression: every
+        /// spanning-tree output over every block set must pass.
+        #[test]
+        fn every_spanning_expression_is_a_valid_polish_expression(
+            shapes in proptest::collection::vec((0u8..2, 1i64..5000, 1i64..80), 1..40),
+        ) {
+            let blocks: Vec<Block> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, area, side))| match kind {
+                    0 => soft(&format!("s{i}"), area),
+                    _ => {
+                        let height = Lambda::new(area % 97 + 1);
+                        Block::hard(format!("h{i}"), Lambda::new(side), height)
+                    }
+                })
+                .collect();
+            let expr = PolishExpr::from_elems(spanning_elems(&blocks));
+            prop_assert_eq!(expr.map(|e| e.operand_count()), Some(blocks.len()));
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! shape-curve combination.
 
 use maestro_geom::{Lambda, LambdaArea, Point, Rect, ShapeCurve, ShapePoint};
-use maestro_place::postfix::{IncrementalPostfix, Tok};
+use maestro_place::postfix::{Cut, Elem, IncrementalPostfix, Move, PolishExpr};
 use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -151,29 +151,6 @@ impl Floorplan {
     }
 }
 
-/// Cut direction (same convention as the full-custom synthesizer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Cut {
-    Horizontal,
-    Vertical,
-}
-
-impl Cut {
-    fn flipped(self) -> Cut {
-        match self {
-            Cut::Horizontal => Cut::Vertical,
-            Cut::Vertical => Cut::Horizontal,
-        }
-    }
-}
-
-/// One token of a block Polish expression: a block index or a cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Elem {
-    Leaf(u32),
-    Op(Cut),
-}
-
 /// How a [`PlanState`] recomputes its cost after a move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EvalMode {
@@ -185,31 +162,22 @@ pub(crate) enum EvalMode {
     Delta,
 }
 
-/// `elems` as abstract postfix tokens (vertical cut = op 0, matching the
-/// combine order in [`PlanState::root_curve`]).
-fn plan_tok(elems: &[Elem]) -> impl Fn(usize) -> Tok + '_ {
-    |i| match elems[i] {
-        Elem::Leaf(b) => Tok::Operand(b),
-        Elem::Op(Cut::Vertical) => Tok::Op(0),
-        Elem::Op(Cut::Horizontal) => Tok::Op(1),
-    }
-}
-
-fn plan_comb(op: u8, l: &ShapeCurve, r: &ShapeCurve) -> ShapeCurve {
-    if op == 0 {
-        l.beside(r)
-    } else {
-        l.stacked(r)
+/// The Stockmeyer combine of two child shape curves under a cut.
+fn plan_comb(cut: Cut, l: &ShapeCurve, r: &ShapeCurve) -> ShapeCurve {
+    match cut {
+        Cut::Vertical => l.beside(r),
+        Cut::Horizontal => l.stacked(r),
     }
 }
 
 /// The annealing state over block Polish expressions. The evaluation
 /// combines full shape curves (Stockmeyer), so each expression's cost is
-/// the best achievable chip area over all block realizations.
+/// the best achievable chip area over all block realizations. Rotation
+/// flags stay unset: block curves already hold both orientations.
 #[derive(Clone)]
 struct PlanState<'b> {
     blocks: &'b [Block],
-    elems: Vec<Elem>,
+    expr: PolishExpr,
     aspect_limit: Option<f64>,
     mode: EvalMode,
     cached_cost: f64,
@@ -217,41 +185,21 @@ struct PlanState<'b> {
     post: IncrementalPostfix<ShapeCurve>,
     /// Pre-move cost snapshot for O(1) restore on revert.
     snap_cost: f64,
-    undo: Option<(usize, usize, bool)>, // (i, j, is_chain) — chain stores range
+    undo: Option<Move>,
     evals_full: u64,
     evals_delta: u64,
 }
 
 impl PlanState<'_> {
-    fn is_valid(&self) -> bool {
-        let mut operands = 0usize;
-        let mut ops = 0usize;
-        for e in &self.elems {
-            match e {
-                Elem::Leaf(_) => operands += 1,
-                Elem::Op(_) => {
-                    ops += 1;
-                    if ops >= operands {
-                        return false;
-                    }
-                }
-            }
-        }
-        ops + 1 == operands
-    }
-
     fn root_curve(&self) -> ShapeCurve {
         let mut stack: Vec<ShapeCurve> = Vec::new();
-        for e in &self.elems {
+        for e in self.expr.elems() {
             match *e {
-                Elem::Leaf(b) => stack.push(self.blocks[b as usize].curve().clone()),
+                Elem::Operand(b) => stack.push(self.blocks[b as usize].curve().clone()),
                 Elem::Op(cut) => {
                     let right = stack.pop().expect("valid expression");
                     let left = stack.pop().expect("valid expression");
-                    stack.push(match cut {
-                        Cut::Vertical => left.beside(&right),
-                        Cut::Horizontal => left.stacked(&right),
-                    });
+                    stack.push(plan_comb(cut, &left, &right));
                 }
             }
         }
@@ -275,10 +223,8 @@ impl PlanState<'_> {
             }
             EvalMode::Delta => {
                 let blocks = self.blocks;
-                let elems = &self.elems;
                 self.post.rebuild(
-                    elems.len(),
-                    plan_tok(elems),
+                    self.expr.elems(),
                     |b| blocks[b as usize].curve().clone(),
                     plan_comb,
                 );
@@ -292,9 +238,8 @@ impl PlanState<'_> {
     fn apply_delta(&mut self, lo: usize, hi: usize) {
         self.evals_delta += 1;
         let blocks = self.blocks;
-        let elems = &self.elems;
         self.post.update(
-            plan_tok(elems),
+            self.expr.elems(),
             |b| blocks[b as usize].curve().clone(),
             plan_comb,
             lo,
@@ -310,128 +255,20 @@ impl AnnealState for PlanState<'_> {
     }
 
     fn propose_and_apply(&mut self, rng: &mut StdRng) -> f64 {
-        let n = self.elems.len();
-        // Each move locates its target by a counting scan instead of
-        // collecting candidate positions into a scratch `Vec`: the counts
-        // equal the old lists' lengths, so every RNG draw range — and
-        // therefore the walk — is unchanged, but the move loop no longer
-        // allocates.
-        match rng.gen_range(0..3u8) {
-            0 => {
-                // M1: swap adjacent operands.
-                let leaf_count = self
-                    .elems
-                    .iter()
-                    .filter(|e| matches!(e, Elem::Leaf(_)))
-                    .count();
-                let k = rng.gen_range(0..leaf_count.max(2) - 1);
-                let k2 = (k + 1).min(leaf_count - 1);
-                let (mut i, mut j) = (0usize, 0usize);
-                let mut seen = 0usize;
-                for (pos, e) in self.elems.iter().enumerate() {
-                    if matches!(e, Elem::Leaf(_)) {
-                        if seen == k {
-                            i = pos;
-                        }
-                        if seen == k2 {
-                            j = pos;
-                            break;
-                        }
-                        seen += 1;
-                    }
-                }
-                self.elems.swap(i, j);
-                self.undo = Some((i, j, false));
-            }
-            1 => {
-                // M2: complement one operator chain.
-                let is_start = |elems: &[Elem], i: usize| {
-                    matches!(elems[i], Elem::Op(_))
-                        && (i == 0 || matches!(elems[i - 1], Elem::Leaf(_)))
-                };
-                let start_count = (0..n).filter(|&i| is_start(&self.elems, i)).count();
-                if start_count == 0 {
-                    self.undo = Some((0, 0, true));
-                } else {
-                    let pick = rng.gen_range(0..start_count);
-                    let mut start = 0usize;
-                    let mut seen = 0usize;
-                    for i in 0..n {
-                        if is_start(&self.elems, i) {
-                            if seen == pick {
-                                start = i;
-                                break;
-                            }
-                            seen += 1;
-                        }
-                    }
-                    let mut end = start;
-                    while end < n {
-                        match self.elems[end] {
-                            Elem::Op(c) => {
-                                self.elems[end] = Elem::Op(c.flipped());
-                                end += 1;
-                            }
-                            Elem::Leaf(_) => break,
-                        }
-                    }
-                    self.undo = Some((start, end, true));
-                }
-            }
-            _ => {
-                // M3: swap an operand–operator boundary, keeping validity.
-                // Every probe re-scans from the unmodified expression
-                // (failed swaps are undone before the next probe), so the
-                // boundary positions match the old collected list.
-                let is_boundary = |elems: &[Elem], i: usize| {
-                    matches!(elems[i], Elem::Leaf(_)) && matches!(elems[i + 1], Elem::Op(_))
-                };
-                let boundary_count = (0..n.saturating_sub(1))
-                    .filter(|&i| is_boundary(&self.elems, i))
-                    .count();
-                let mut done = None;
-                if boundary_count > 0 {
-                    let offset = rng.gen_range(0..boundary_count);
-                    'probe: for probe in 0..boundary_count {
-                        let nth = (offset + probe) % boundary_count;
-                        let mut seen = 0usize;
-                        for i in 0..n - 1 {
-                            if is_boundary(&self.elems, i) {
-                                if seen == nth {
-                                    self.elems.swap(i, i + 1);
-                                    if self.is_valid() {
-                                        done = Some((i, i + 1, false));
-                                        break 'probe;
-                                    }
-                                    self.elems.swap(i, i + 1);
-                                    break;
-                                }
-                                seen += 1;
-                            }
-                        }
-                    }
-                }
-                self.undo = Some(done.unwrap_or((0, 0, false)));
-                if done.is_none() {
-                    // No-op move.
-                    self.undo = Some((0, 0, true));
-                }
-            }
-        }
+        // Each move draws its candidate in exactly the candidate range.
+        let kind = rng.gen_range(0..3u8);
+        let pick = |count: usize| rng.gen_range(0..count);
+        let mv = match kind {
+            0 => self.expr.swap_adjacent_operands(pick),
+            1 => self.expr.complement_chain(pick),
+            _ => self.expr.swap_operand_operator(pick),
+        };
+        self.undo = Some(mv);
         match self.mode {
             EvalMode::Full => self.refresh(),
             EvalMode::Delta => {
-                // Element-position span touched by the move: a chain
-                // `(s, e, true)` flipped elements `s..e` (empty ⇒ no-op),
-                // a swap `(i, j, false)` touched exactly `i` and `j`.
-                let span = match self.undo {
-                    Some((s, e, true)) if s == e => None,
-                    Some((s, e, true)) => Some((s, e - 1)),
-                    Some((i, j, false)) => Some((i.min(j), i.max(j))),
-                    None => unreachable!("undo set above"),
-                };
                 self.snap_cost = self.cached_cost;
-                match span {
+                match mv.span() {
                     Some((lo, hi)) => self.apply_delta(lo, hi),
                     // A following revert must be a no-op.
                     None => self.post.clear_undo(),
@@ -442,18 +279,8 @@ impl AnnealState for PlanState<'_> {
     }
 
     fn revert(&mut self) {
-        match self.undo.take().expect("revert without move") {
-            (start, end, true) => {
-                for i in start..end {
-                    if let Elem::Op(c) = self.elems[i] {
-                        self.elems[i] = Elem::Op(c.flipped());
-                    }
-                }
-            }
-            (i, j, false) => {
-                self.elems.swap(i, j);
-            }
-        }
+        self.expr
+            .undo(self.undo.take().expect("revert without move"));
         match self.mode {
             EvalMode::Full => self.refresh(),
             EvalMode::Delta => {
@@ -466,81 +293,6 @@ impl AnnealState for PlanState<'_> {
     fn eval_counts(&self) -> (u64, u64) {
         (self.evals_full, self.evals_delta)
     }
-}
-
-/// Expression tree used for top-down realization selection: each node
-/// keeps its combined shape curve so placement can recover which child
-/// realizations produced the chosen root point.
-enum Tree {
-    Leaf(u32, ShapeCurve),
-    Node(Cut, Box<Tree>, Box<Tree>, ShapeCurve),
-}
-
-impl Tree {
-    fn curve(&self) -> &ShapeCurve {
-        match self {
-            Tree::Leaf(_, c) => c,
-            Tree::Node(_, _, _, c) => c,
-        }
-    }
-
-    fn place(&self, chosen: ShapePoint, origin: Point, out: &mut Vec<(u32, Rect)>) {
-        match self {
-            Tree::Leaf(b, _) => {
-                out.push((*b, Rect::new(origin, chosen.width, chosen.height)));
-            }
-            Tree::Node(cut, left, right, _) => {
-                // Find child realizations producing `chosen`.
-                let mut found = None;
-                'outer: for &a in left.curve().points() {
-                    for &b in right.curve().points() {
-                        let combined = match cut {
-                            Cut::Vertical => {
-                                ShapePoint::new(a.width + b.width, a.height.max(b.height))
-                            }
-                            Cut::Horizontal => {
-                                ShapePoint::new(a.width.max(b.width), a.height + b.height)
-                            }
-                        };
-                        if combined == chosen {
-                            found = Some((a, b));
-                            break 'outer;
-                        }
-                    }
-                }
-                let (a, b) = found.expect("chosen point originates from children");
-                match cut {
-                    Cut::Vertical => {
-                        left.place(a, origin, out);
-                        right.place(b, origin.translated(a.width, Lambda::ZERO), out);
-                    }
-                    Cut::Horizontal => {
-                        left.place(a, origin, out);
-                        right.place(b, origin.translated(Lambda::ZERO, a.height), out);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn build_tree(blocks: &[Block], elems: &[Elem]) -> Tree {
-    let mut stack: Vec<Tree> = Vec::new();
-    for e in elems {
-        match *e {
-            Elem::Leaf(b) => stack.push(Tree::Leaf(b, blocks[b as usize].curve().clone())),
-            Elem::Op(cut) => {
-                let right = stack.pop().expect("valid expression");
-                let left = stack.pop().expect("valid expression");
-                let curve = match cut {
-                    Cut::Vertical => left.curve().beside(right.curve()),
-                    Cut::Horizontal => left.curve().stacked(right.curve()),
-                };
-                stack.push(Tree::Node(cut, Box::new(left), Box::new(right), curve));
-            }
-        }
-    }
-    stack.pop().expect("valid expression")
 }
 
 /// Floorplans a set of blocks into a minimum-area slicing arrangement.
@@ -573,41 +325,49 @@ pub(crate) struct PlanCounters {
     pub evals_delta: u64,
 }
 
-/// The serpentine initial Polish expression over `n` blocks, the same
-/// pairing the full-custom synthesizer starts from.
-pub(crate) fn serpentine_elems(n: usize) -> Vec<Elem> {
-    let per_row = (n as f64).sqrt().ceil() as usize;
-    let mut elems = Vec::with_capacity(n * 2);
-    let mut rows_emitted = 0usize;
-    let mut i = 0usize;
-    while i < n {
-        let end = (i + per_row).min(n);
-        elems.push(Elem::Leaf(i as u32));
-        for t in i + 1..end {
-            elems.push(Elem::Leaf(t as u32));
-            elems.push(Elem::Op(Cut::Vertical));
-        }
-        rows_emitted += 1;
-        if rows_emitted >= 2 {
-            elems.push(Elem::Op(Cut::Horizontal));
-        }
-        i = end;
-    }
-    elems
-}
-
 /// Packs an already-chosen slicing expression: Stockmeyer-combine the
 /// curves bottom-up, pick the best root realization under the aspect
-/// policy, and recover concrete block rectangles top-down.
+/// policy, and recover concrete block rectangles top-down, walking the
+/// evaluated expression (each node holds its subtree's curve).
 pub(crate) fn eval_slicing(
     blocks: &[Block],
     elems: &[Elem],
     aspect_limit: Option<f64>,
 ) -> Floorplan {
-    let tree = build_tree(blocks, elems);
-    let root_point = best_point(tree.curve(), aspect_limit);
+    let post = IncrementalPostfix::build(elems, |b| blocks[b as usize].curve().clone(), plan_comb);
+    let root_point = best_point(post.root_val(), aspect_limit);
     let mut raw = Vec::with_capacity(blocks.len());
-    tree.place(root_point, Point::ORIGIN, &mut raw);
+    let mut descent = vec![(post.root(), root_point, Point::ORIGIN)];
+    while let Some((p, chosen, origin)) = descent.pop() {
+        let cut = match elems[p as usize] {
+            Elem::Operand(b) => {
+                raw.push((b, Rect::new(origin, chosen.width, chosen.height)));
+                continue;
+            }
+            Elem::Op(cut) => cut,
+        };
+        // Find the first child realizations producing `chosen`.
+        let (l, r) = post.kids(p);
+        let (a, b) = post
+            .val(l)
+            .points()
+            .iter()
+            .flat_map(|&a| post.val(r).points().iter().map(move |&b| (a, b)))
+            .find(|&(a, b)| {
+                let combined = match cut {
+                    Cut::Vertical => ShapePoint::new(a.width + b.width, a.height.max(b.height)),
+                    Cut::Horizontal => ShapePoint::new(a.width.max(b.width), a.height + b.height),
+                };
+                combined == chosen
+            })
+            .expect("chosen point originates from children");
+        let right_origin = match cut {
+            Cut::Vertical => origin.translated(a.width, Lambda::ZERO),
+            Cut::Horizontal => origin.translated(Lambda::ZERO, a.height),
+        };
+        descent.push((l, a, origin));
+        descent.push((r, b, right_origin));
+    }
     raw.sort_by_key(|&(b, _)| b);
     let blocks_area: LambdaArea = raw.iter().map(|&(_, r)| r.area()).sum();
     Floorplan {
@@ -622,34 +382,34 @@ pub(crate) fn eval_slicing(
 }
 
 fn floorplan_with(blocks: &[Block], params: &PlanParams, mode: EvalMode) -> Floorplan {
-    floorplan_seeded(blocks, params, mode, serpentine_elems(blocks.len())).0
+    floorplan_seeded(blocks, params, mode, || PolishExpr::initial(blocks.len())).0
 }
 
-/// The annealing core behind every entry point: starts from `elems` (a
-/// valid Polish expression over all of `blocks`), anneals, and packs the
-/// best expression seen. [`floorplan`] seeds it with the serpentine
-/// expression; the warm-started backend seeds it with the spanning-tree
-/// expression instead.
+/// The annealing core behind every entry point: checks `blocks` is not
+/// empty, starts from `seed()` (a valid expression over all of
+/// `blocks`), anneals, and packs the best expression seen. [`floorplan`]
+/// seeds it with [`PolishExpr::initial`]; the warm-started backend seeds
+/// it with the spanning-tree expression instead.
 pub(crate) fn floorplan_seeded(
     blocks: &[Block],
     params: &PlanParams,
     mode: EvalMode,
-    elems: Vec<Elem>,
+    seed: impl FnOnce() -> PolishExpr,
 ) -> (Floorplan, PlanCounters) {
     assert!(!blocks.is_empty(), "cannot floorplan zero blocks");
     let _plan_span = maestro_trace::span("floorplan");
     maestro_trace::counter("floorplan.blocks", blocks.len() as u64);
     let n = blocks.len();
 
+    let expr = seed();
     let post = IncrementalPostfix::build(
-        elems.len(),
-        plan_tok(&elems),
+        expr.elems(),
         |b| blocks[b as usize].curve().clone(),
         plan_comb,
     );
     let mut state = PlanState {
         blocks,
-        elems,
+        expr,
         aspect_limit: params.aspect_limit,
         mode,
         cached_cost: 0.0,
@@ -661,7 +421,7 @@ pub(crate) fn floorplan_seeded(
     };
     state.refresh();
     if n > 1 {
-        let initial_elems = state.elems.clone();
+        let initial_expr = state.expr.clone();
         let initial_cost = state.cached_cost;
         let final_cost = anneal_replicas(
             &mut state,
@@ -673,7 +433,7 @@ pub(crate) fn floorplan_seeded(
             n,
         );
         if final_cost > initial_cost {
-            state.elems = initial_elems;
+            state.expr = initial_expr;
             state.refresh();
         }
     }
@@ -683,7 +443,7 @@ pub(crate) fn floorplan_seeded(
         evals_delta: state.evals_delta,
     };
     (
-        eval_slicing(blocks, &state.elems, params.aspect_limit),
+        eval_slicing(blocks, state.expr.elems(), params.aspect_limit),
         counters,
     )
 }

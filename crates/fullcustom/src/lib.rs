@@ -10,9 +10,10 @@
 //! 1. each transistor becomes a rectangular **tile** sized by the process
 //!    design rules ([`maestro_tech::DeviceTemplate`]);
 //! 2. tiles are packed by a **slicing floorplan** — a Polish expression
-//!    annealed with the classic Wong–Liu moves plus per-tile rotation
-//!    ([`polish`], [`synthesize`]) — minimizing bounding area plus a
-//!    wirelength term;
+//!    (the one [`maestro_place::postfix::PolishExpr`] the floorplanner
+//!    anneals too) annealed with the classic Wong–Liu moves plus per-tile
+//!    rotation, and evaluated into tile placements ([`polish`],
+//!    [`synthesize`]) — minimizing bounding area plus a wirelength term;
 //! 3. interconnect area is then allocated from the placement's actual net
 //!    bounding boxes ([`wiring`]): each net contributes its half-perimeter
 //!    wirelength times the metal pitch, derated by a sharing factor, the

@@ -1,51 +1,13 @@
-//! Polish-expression slicing floorplans over fixed rectangular tiles.
+//! Tile evaluation of slicing floorplans.
 //!
-//! A slicing floorplan is a recursive cut of a rectangle into two halves;
-//! its canonical encoding is a postfix ("Polish") expression over tile
-//! operands and the two cut operators. Annealing over expressions with
-//! the Wong–Liu move set explores the slicing-floorplan space without
-//! ever producing an invalid layout.
+//! The synthesizer anneals a [`PolishExpr`] (the slicing expression
+//! shared with the floorplanner, see [`maestro_place::postfix`]) over
+//! fixed rectangular tiles. This module turns an expression into tile
+//! placements: [`evaluate`] from scratch, and [`DeltaEval`] incrementally
+//! per move.
 
 use maestro_geom::{Lambda, LambdaArea, Point, Rect};
-use maestro_place::postfix::{IncrementalPostfix, Tok, UpdateResult};
-use serde::{Deserialize, Serialize};
-
-/// A cut operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Cut {
-    /// Horizontal cut: the two children stack vertically
-    /// (width = max, height = sum).
-    Horizontal,
-    /// Vertical cut: the two children sit side by side
-    /// (width = sum, height = max).
-    Vertical,
-}
-
-impl Cut {
-    /// The opposite cut direction.
-    pub fn flipped(self) -> Cut {
-        match self {
-            Cut::Horizontal => Cut::Vertical,
-            Cut::Vertical => Cut::Horizontal,
-        }
-    }
-}
-
-/// One element of a Polish expression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Elem {
-    /// A tile operand (index into the tile list).
-    Tile(u32),
-    /// A cut operator combining the two sub-floorplans below it.
-    Op(Cut),
-}
-
-/// A slicing floorplan: a Polish expression plus a rotation flag per tile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PolishExpr {
-    elems: Vec<Elem>,
-    rotated: Vec<bool>,
-}
+use maestro_place::postfix::{Cut, Elem, IncrementalPostfix, PolishExpr, UpdateResult};
 
 /// The evaluated floorplan: the bounding box and each tile's placement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,356 +27,77 @@ impl Evaluated {
     }
 }
 
-impl PolishExpr {
-    /// Builds an initial roughly-square floorplan: tiles are grouped into
-    /// `⌈√N⌉`-sized runs joined side-by-side, and the runs stacked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_count == 0`.
-    pub fn initial(tile_count: usize) -> Self {
-        assert!(tile_count > 0, "need at least one tile");
-        let per_row = (tile_count as f64).sqrt().ceil() as usize;
-        let mut elems = Vec::with_capacity(tile_count * 2);
-        let mut rows_emitted = 0usize;
-        let mut i = 0usize;
-        while i < tile_count {
-            let end = (i + per_row).min(tile_count);
-            elems.push(Elem::Tile(i as u32));
-            for t in i + 1..end {
-                elems.push(Elem::Tile(t as u32));
-                elems.push(Elem::Op(Cut::Vertical));
+/// Evaluates `expr` over tiles of the given sizes (operand `t` is tile
+/// `t`, rotated when its flag is set).
+///
+/// # Panics
+///
+/// Panics if `tile_sizes` is shorter than the operand count.
+pub fn evaluate(expr: &PolishExpr, tile_sizes: &[(Lambda, Lambda)]) -> Evaluated {
+    assert!(
+        tile_sizes.len() >= expr.operand_count(),
+        "a size per tile is required"
+    );
+    struct Node {
+        width: Lambda,
+        height: Lambda,
+        /// (tile, x-offset, y-offset) within this node.
+        tiles: Vec<(u32, Lambda, Lambda)>,
+    }
+    let leaf = leaf_at(expr, tile_sizes);
+    let mut stack: Vec<Node> = Vec::new();
+    for e in expr.elems() {
+        match *e {
+            Elem::Operand(t) => {
+                let (w, h) = leaf(t);
+                stack.push(Node {
+                    width: w,
+                    height: h,
+                    tiles: vec![(t, Lambda::ZERO, Lambda::ZERO)],
+                });
             }
-            rows_emitted += 1;
-            if rows_emitted >= 2 {
-                elems.push(Elem::Op(Cut::Horizontal));
-            }
-            i = end;
-        }
-        PolishExpr {
-            elems,
-            rotated: vec![false; tile_count],
-        }
-    }
-
-    /// The expression elements (postfix order).
-    pub fn elems(&self) -> &[Elem] {
-        &self.elems
-    }
-
-    /// Rotation flags per tile.
-    pub fn rotations(&self) -> &[bool] {
-        &self.rotated
-    }
-
-    /// Number of tiles.
-    pub fn tile_count(&self) -> usize {
-        self.rotated.len()
-    }
-
-    /// `true` if `elems` is a valid postfix slicing expression over all
-    /// tiles (each exactly once, operators one fewer than operands, and
-    /// every prefix has more operands than operators).
-    pub fn is_valid(&self) -> bool {
-        let mut operands = 0usize;
-        let mut ops = 0usize;
-        let mut seen = vec![false; self.rotated.len()];
-        for e in &self.elems {
-            match e {
-                Elem::Tile(t) => {
-                    let idx = *t as usize;
-                    if idx >= seen.len() || seen[idx] {
-                        return false;
-                    }
-                    seen[idx] = true;
-                    operands += 1;
-                }
-                Elem::Op(_) => {
-                    ops += 1;
-                    if ops >= operands {
-                        return false;
-                    }
-                }
-            }
-        }
-        operands == self.rotated.len() && ops + 1 == operands
-    }
-
-    /// Evaluates the floorplan over tiles of the given sizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the expression is invalid or `tile_sizes` is shorter than
-    /// the tile count.
-    pub fn evaluate(&self, tile_sizes: &[(Lambda, Lambda)]) -> Evaluated {
-        assert!(
-            tile_sizes.len() >= self.rotated.len(),
-            "a size per tile is required"
-        );
-        struct Node {
-            width: Lambda,
-            height: Lambda,
-            /// (tile, x-offset, y-offset) within this node.
-            tiles: Vec<(u32, Lambda, Lambda)>,
-        }
-        let mut stack: Vec<Node> = Vec::new();
-        for e in &self.elems {
-            match *e {
-                Elem::Tile(t) => {
-                    let (mut w, mut h) = tile_sizes[t as usize];
-                    if self.rotated[t as usize] {
-                        std::mem::swap(&mut w, &mut h);
-                    }
-                    stack.push(Node {
-                        width: w,
-                        height: h,
-                        tiles: vec![(t, Lambda::ZERO, Lambda::ZERO)],
-                    });
-                }
-                Elem::Op(cut) => {
-                    let right = stack.pop().expect("valid expression");
-                    let left = stack.pop().expect("valid expression");
-                    let node = match cut {
-                        Cut::Vertical => {
-                            let mut tiles = left.tiles;
-                            for (t, x, y) in right.tiles {
-                                tiles.push((t, x + left.width, y));
-                            }
-                            Node {
-                                width: left.width + right.width,
-                                height: left.height.max(right.height),
-                                tiles,
-                            }
+            Elem::Op(cut) => {
+                let right = stack.pop().expect("valid expression");
+                let left = stack.pop().expect("valid expression");
+                let node = match cut {
+                    Cut::Vertical => {
+                        let mut tiles = left.tiles;
+                        for (t, x, y) in right.tiles {
+                            tiles.push((t, x + left.width, y));
                         }
-                        Cut::Horizontal => {
-                            let mut tiles = left.tiles;
-                            for (t, x, y) in right.tiles {
-                                tiles.push((t, x, y + left.height));
-                            }
-                            Node {
-                                width: left.width.max(right.width),
-                                height: left.height + right.height,
-                                tiles,
-                            }
+                        Node {
+                            width: left.width + right.width,
+                            height: left.height.max(right.height),
+                            tiles,
                         }
-                    };
-                    stack.push(node);
-                }
-            }
-        }
-        let root = stack.pop().expect("valid expression");
-        assert!(stack.is_empty(), "valid expression leaves one root");
-        let mut placements = vec![Rect::from_size(Lambda::ONE, Lambda::ONE); self.rotated.len()];
-        for (t, x, y) in root.tiles {
-            let (mut w, mut h) = tile_sizes[t as usize];
-            if self.rotated[t as usize] {
-                std::mem::swap(&mut w, &mut h);
-            }
-            placements[t as usize] = Rect::new(maestro_geom::Point::new(x, y), w, h);
-        }
-        Evaluated {
-            width: root.width,
-            height: root.height,
-            placements,
-        }
-    }
-
-    /// Prefix-balance validity: every prefix holds more operands than
-    /// operators and the totals match. Equivalent to
-    /// [`PolishExpr::is_valid`] for any element permutation of an
-    /// already-valid expression (the move set never changes the element
-    /// multiset, so the duplicate-tile check cannot newly fail), but
-    /// allocation-free — this is what the per-move validity probe uses.
-    fn balance_valid(&self) -> bool {
-        let mut operands = 0usize;
-        let mut ops = 0usize;
-        for e in &self.elems {
-            match e {
-                Elem::Tile(_) => operands += 1,
-                Elem::Op(_) => {
-                    ops += 1;
-                    if ops >= operands {
-                        return false;
                     }
-                }
-            }
-        }
-        operands == self.rotated.len() && ops + 1 == operands
-    }
-
-    /// Move M1: swaps two adjacent operands (tiles adjacent in the
-    /// expression, ignoring operators between them). Returns the two
-    /// element indices swapped, or `None` if fewer than two tiles.
-    ///
-    /// The target pair is located by a counting scan — the count equals
-    /// the old collected list's length, so the `nth_pair` reduction (and
-    /// with it the annealing walk) is unchanged, without the per-move
-    /// position `Vec`.
-    pub fn swap_adjacent_operands(&mut self, nth_pair: usize) -> Option<(usize, usize)> {
-        let operand_count = self
-            .elems
-            .iter()
-            .filter(|e| matches!(e, Elem::Tile(_)))
-            .count();
-        if operand_count < 2 {
-            return None;
-        }
-        let pair = nth_pair % (operand_count - 1);
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut seen = 0usize;
-        for (pos, e) in self.elems.iter().enumerate() {
-            if matches!(e, Elem::Tile(_)) {
-                if seen == pair {
-                    i = pos;
-                } else if seen == pair + 1 {
-                    j = pos;
-                    break;
-                }
-                seen += 1;
-            }
-        }
-        self.elems.swap(i, j);
-        Some((i, j))
-    }
-
-    /// Move M2: complements a maximal chain of operators starting at the
-    /// `nth` operator position. Returns the range complemented.
-    pub fn complement_chain(&mut self, nth_chain: usize) -> Option<(usize, usize)> {
-        let is_start = |elems: &[Elem], i: usize| {
-            matches!(elems[i], Elem::Op(_)) && (i == 0 || matches!(elems[i - 1], Elem::Tile(_)))
-        };
-        let chain_count = (0..self.elems.len())
-            .filter(|&i| is_start(&self.elems, i))
-            .count();
-        if chain_count == 0 {
-            return None;
-        }
-        let pick = nth_chain % chain_count;
-        let mut start = 0usize;
-        let mut seen = 0usize;
-        for i in 0..self.elems.len() {
-            if is_start(&self.elems, i) {
-                if seen == pick {
-                    start = i;
-                    break;
-                }
-                seen += 1;
-            }
-        }
-        let mut end = start;
-        while end < self.elems.len() {
-            match self.elems[end] {
-                Elem::Op(c) => {
-                    self.elems[end] = Elem::Op(c.flipped());
-                    end += 1;
-                }
-                Elem::Tile(_) => break,
-            }
-        }
-        Some((start, end))
-    }
-
-    /// Undoes a prior [`PolishExpr::complement_chain`] over the same range.
-    pub fn uncomplement(&mut self, range: (usize, usize)) {
-        for i in range.0..range.1 {
-            if let Elem::Op(c) = self.elems[i] {
-                self.elems[i] = Elem::Op(c.flipped());
-            }
-        }
-    }
-
-    /// Move M3: swaps an adjacent operand–operator pair at the `nth`
-    /// such boundary, if the result remains a valid expression. Returns
-    /// the swapped indices.
-    ///
-    /// Each probe re-scans for the boundary position from the unmodified
-    /// expression (failed swaps are undone first), so the positions match
-    /// the old collected list; the validity probe checks prefix balance
-    /// only — a swap preserves the element multiset, so that is the whole
-    /// of [`PolishExpr::is_valid`] that can change.
-    pub fn swap_operand_operator(&mut self, nth_boundary: usize) -> Option<(usize, usize)> {
-        let is_boundary = |elems: &[Elem], i: usize| {
-            matches!(elems[i], Elem::Tile(_)) && matches!(elems[i + 1], Elem::Op(_))
-        };
-        let boundary_count = (0..self.elems.len().saturating_sub(1))
-            .filter(|&i| is_boundary(&self.elems, i))
-            .count();
-        if boundary_count == 0 {
-            return None;
-        }
-        for probe in 0..boundary_count {
-            let nth = (nth_boundary + probe) % boundary_count;
-            let mut seen = 0usize;
-            for i in 0..self.elems.len() - 1 {
-                if is_boundary(&self.elems, i) {
-                    if seen == nth {
-                        self.elems.swap(i, i + 1);
-                        if self.balance_valid() {
-                            return Some((i, i + 1));
+                    Cut::Horizontal => {
+                        let mut tiles = left.tiles;
+                        for (t, x, y) in right.tiles {
+                            tiles.push((t, x, y + left.height));
                         }
-                        self.elems.swap(i, i + 1);
-                        break;
+                        Node {
+                            width: left.width.max(right.width),
+                            height: left.height + right.height,
+                            tiles,
+                        }
                     }
-                    seen += 1;
-                }
+                };
+                stack.push(node);
             }
         }
-        None
     }
-
-    /// Move M4: toggles one tile's rotation. Returns the tile index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile` is out of range.
-    pub fn flip_rotation(&mut self, tile: usize) -> usize {
-        self.rotated[tile] = !self.rotated[tile];
-        tile
+    let root = stack.pop().expect("valid expression");
+    assert!(stack.is_empty(), "valid expression leaves one root");
+    let mut placements = vec![Rect::from_size(Lambda::ONE, Lambda::ONE); expr.operand_count()];
+    for (t, x, y) in root.tiles {
+        let (w, h) = leaf(t);
+        placements[t as usize] = Rect::new(Point::new(x, y), w, h);
     }
-
-    /// Swaps two elements back (undo for M1/M3).
-    pub fn unswap(&mut self, pair: (usize, usize)) {
-        self.elems.swap(pair.0, pair.1);
-    }
-
-    /// Builds an incremental evaluator for this expression — the
-    /// delta-update counterpart of [`PolishExpr::evaluate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the expression is invalid or `tile_sizes` is shorter
-    /// than the tile count.
-    pub fn delta_eval(&self, tile_sizes: &[(Lambda, Lambda)]) -> DeltaEval {
-        assert!(
-            tile_sizes.len() >= self.rotated.len(),
-            "a size per tile is required"
-        );
-        let mut eval = DeltaEval {
-            post: IncrementalPostfix::build(
-                self.elems.len(),
-                tok_at(&self.elems),
-                leaf_at(self, tile_sizes),
-                combine,
-            ),
-            ox: Vec::new(),
-            oy: Vec::new(),
-            placements: Vec::new(),
-            changed_tiles: Vec::new(),
-            undo_origins: Vec::new(),
-            undo_placements: Vec::new(),
-            descent: Vec::new(),
-        };
-        eval.derive_all(self);
-        eval
-    }
-}
-
-/// `elems` as abstract postfix tokens (vertical cut = op 0).
-fn tok_at(elems: &[Elem]) -> impl Fn(usize) -> Tok + '_ {
-    |i| match elems[i] {
-        Elem::Tile(t) => Tok::Operand(t),
-        Elem::Op(Cut::Vertical) => Tok::Op(0),
-        Elem::Op(Cut::Horizontal) => Tok::Op(1),
+    Evaluated {
+        width: root.width,
+        height: root.height,
+        placements,
     }
 }
 
@@ -425,7 +108,7 @@ fn leaf_at<'a>(
 ) -> impl Fn(u32) -> (Lambda, Lambda) + 'a {
     |t| {
         let (w, h) = tile_sizes[t as usize];
-        if expr.rotated[t as usize] {
+        if expr.rotations()[t as usize] {
             (h, w)
         } else {
             (w, h)
@@ -433,11 +116,11 @@ fn leaf_at<'a>(
     }
 }
 
-/// The slicing combine: identical arithmetic to [`PolishExpr::evaluate`].
-fn combine(op: u8, l: &(Lambda, Lambda), r: &(Lambda, Lambda)) -> (Lambda, Lambda) {
-    match op {
-        0 => (l.0 + r.0, l.1.max(r.1)),
-        _ => (l.0.max(r.0), l.1 + r.1),
+/// The slicing combine: identical arithmetic to [`evaluate`].
+fn combine(cut: Cut, l: &(Lambda, Lambda), r: &(Lambda, Lambda)) -> (Lambda, Lambda) {
+    match cut {
+        Cut::Vertical => (l.0 + r.0, l.1.max(r.1)),
+        Cut::Horizontal => (l.0.max(r.0), l.1 + r.1),
     }
 }
 
@@ -445,7 +128,7 @@ fn combine(op: u8, l: &(Lambda, Lambda), r: &(Lambda, Lambda)) -> (Lambda, Lambd
 /// dimensions plus absolute per-tile placements, updated per move in time
 /// proportional to the touched subtree. All arithmetic is integer
 /// ([`Lambda`]), so the maintained state is *bit-identical* to a fresh
-/// [`PolishExpr::evaluate`] of the same expression.
+/// [`evaluate`] of the same expression.
 ///
 /// The owner applies a move to the expression, then calls
 /// [`DeltaEval::update`] with the touched element range; on rejection it
@@ -469,6 +152,32 @@ pub struct DeltaEval {
 }
 
 impl DeltaEval {
+    /// Builds an incremental evaluator for `expr` — the delta-update
+    /// counterpart of [`evaluate`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the expression is invalid or `tile_sizes` is shorter
+    /// than the operand count.
+    pub fn new(expr: &PolishExpr, tile_sizes: &[(Lambda, Lambda)]) -> DeltaEval {
+        assert!(
+            tile_sizes.len() >= expr.operand_count(),
+            "a size per tile is required"
+        );
+        let mut eval = DeltaEval {
+            post: IncrementalPostfix::build(expr.elems(), leaf_at(expr, tile_sizes), combine),
+            ox: Vec::new(),
+            oy: Vec::new(),
+            placements: Vec::new(),
+            changed_tiles: Vec::new(),
+            undo_origins: Vec::new(),
+            undo_placements: Vec::new(),
+            descent: Vec::new(),
+        };
+        eval.derive_all(expr);
+        eval
+    }
+
     /// Overall bounding width.
     pub fn width(&self) -> Lambda {
         self.post.root_val().0
@@ -500,7 +209,7 @@ impl DeltaEval {
         self.post.operand_pos(tile as u32) as usize
     }
 
-    /// Snapshots the evaluation in [`PolishExpr::evaluate`]'s format.
+    /// Snapshots the evaluation in [`evaluate`]'s format.
     pub fn to_evaluated(&self) -> Evaluated {
         Evaluated {
             width: self.width(),
@@ -523,13 +232,9 @@ impl DeltaEval {
         lo: usize,
         hi: usize,
     ) {
-        let result = self.post.update(
-            tok_at(&expr.elems),
-            leaf_at(expr, tile_sizes),
-            combine,
-            lo,
-            hi,
-        );
+        let result = self
+            .post
+            .update(expr.elems(), leaf_at(expr, tile_sizes), combine, lo, hi);
         self.undo_origins.clear();
         self.undo_placements.clear();
         self.replace_from(expr, result);
@@ -561,8 +266,8 @@ impl DeltaEval {
 
     /// Places a leaf or pushes an operator's children at their origins.
     fn visit(&mut self, expr: &PolishExpr, p: u32, x: Lambda, y: Lambda) {
-        match expr.elems[p as usize] {
-            Elem::Tile(t) => {
+        match expr.elems()[p as usize] {
+            Elem::Operand(t) => {
                 let (w, h) = *self.post.val(p);
                 let rect = Rect::new(Point::new(x, y), w, h);
                 if self.placements[t as usize] != rect {
@@ -613,12 +318,8 @@ impl DeltaEval {
     /// Fully re-evaluates `expr` from scratch (e.g. after wholesale
     /// expression replacement), reusing buffers.
     pub fn rebuild(&mut self, expr: &PolishExpr, tile_sizes: &[(Lambda, Lambda)]) {
-        self.post.rebuild(
-            expr.elems.len(),
-            tok_at(&expr.elems),
-            leaf_at(expr, tile_sizes),
-            combine,
-        );
+        self.post
+            .rebuild(expr.elems(), leaf_at(expr, tile_sizes), combine);
         self.undo_origins.clear();
         self.undo_placements.clear();
         self.derive_all(expr);
@@ -626,14 +327,16 @@ impl DeltaEval {
 
     /// Derives every origin and placement top-down from the root.
     fn derive_all(&mut self, expr: &PolishExpr) {
-        let len = expr.elems.len();
+        let len = expr.elems().len();
         self.ox.clear();
         self.ox.resize(len, Lambda::ZERO);
         self.oy.clear();
         self.oy.resize(len, Lambda::ZERO);
         self.placements.clear();
-        self.placements
-            .resize(expr.tile_count(), Rect::from_size(Lambda::ONE, Lambda::ONE));
+        self.placements.resize(
+            expr.operand_count(),
+            Rect::from_size(Lambda::ONE, Lambda::ONE),
+        );
         self.changed_tiles.clear();
         self.descent.clear();
         self.descent
@@ -641,8 +344,8 @@ impl DeltaEval {
         while let Some((p, x, y)) = self.descent.pop() {
             self.ox[p as usize] = x;
             self.oy[p as usize] = y;
-            match expr.elems[p as usize] {
-                Elem::Tile(t) => {
+            match expr.elems()[p as usize] {
+                Elem::Operand(t) => {
                     let (w, h) = *self.post.val(p);
                     self.placements[t as usize] = Rect::new(Point::new(x, y), w, h);
                     self.changed_tiles.push(t);
@@ -657,6 +360,7 @@ impl DeltaEval {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use maestro_place::postfix::Move;
 
     fn sizes(list: &[(i64, i64)]) -> Vec<(Lambda, Lambda)> {
         list.iter()
@@ -664,19 +368,28 @@ mod tests {
             .collect()
     }
 
+    /// The synthesizer's pick policy: `nth % count`.
+    fn nth(n: usize) -> impl FnOnce(usize) -> usize {
+        move |count| n % count
+    }
+
+    fn expr_of(elems: &[Elem]) -> PolishExpr {
+        PolishExpr::from_elems(elems.to_vec()).expect("valid expression")
+    }
+
     #[test]
     fn initial_expression_is_valid_for_many_sizes() {
         for n in 1..=40 {
             let e = PolishExpr::initial(n);
             assert!(e.is_valid(), "n={n}: {:?}", e.elems());
-            assert_eq!(e.tile_count(), n);
+            assert_eq!(e.operand_count(), n);
         }
     }
 
     #[test]
     fn single_tile_evaluates_to_itself() {
         let e = PolishExpr::initial(1);
-        let ev = e.evaluate(&sizes(&[(10, 4)]));
+        let ev = evaluate(&e, &sizes(&[(10, 4)]));
         assert_eq!(ev.width, Lambda::new(10));
         assert_eq!(ev.height, Lambda::new(4));
         assert_eq!(ev.area(), LambdaArea::new(40));
@@ -684,11 +397,8 @@ mod tests {
 
     #[test]
     fn vertical_cut_adds_widths() {
-        let e = PolishExpr {
-            elems: vec![Elem::Tile(0), Elem::Tile(1), Elem::Op(Cut::Vertical)],
-            rotated: vec![false, false],
-        };
-        let ev = e.evaluate(&sizes(&[(10, 4), (6, 8)]));
+        let e = expr_of(&[Elem::Operand(0), Elem::Operand(1), Elem::Op(Cut::Vertical)]);
+        let ev = evaluate(&e, &sizes(&[(10, 4), (6, 8)]));
         assert_eq!(ev.width, Lambda::new(16));
         assert_eq!(ev.height, Lambda::new(8));
         // Right child offset by left width.
@@ -697,11 +407,12 @@ mod tests {
 
     #[test]
     fn horizontal_cut_adds_heights() {
-        let e = PolishExpr {
-            elems: vec![Elem::Tile(0), Elem::Tile(1), Elem::Op(Cut::Horizontal)],
-            rotated: vec![false, false],
-        };
-        let ev = e.evaluate(&sizes(&[(10, 4), (6, 8)]));
+        let e = expr_of(&[
+            Elem::Operand(0),
+            Elem::Operand(1),
+            Elem::Op(Cut::Horizontal),
+        ]);
+        let ev = evaluate(&e, &sizes(&[(10, 4), (6, 8)]));
         assert_eq!(ev.width, Lambda::new(10));
         assert_eq!(ev.height, Lambda::new(12));
         assert_eq!(ev.placements[1].origin().y, Lambda::new(4));
@@ -711,7 +422,7 @@ mod tests {
     fn rotation_swaps_tile_dimensions() {
         let mut e = PolishExpr::initial(1);
         e.flip_rotation(0);
-        let ev = e.evaluate(&sizes(&[(10, 4)]));
+        let ev = evaluate(&e, &sizes(&[(10, 4)]));
         assert_eq!((ev.width, ev.height), (Lambda::new(4), Lambda::new(10)));
     }
 
@@ -720,12 +431,12 @@ mod tests {
         let tile_sizes = sizes(&[(10, 4), (6, 8), (5, 5), (7, 3), (2, 9)]);
         let mut e = PolishExpr::initial(5);
         // Shake the expression with every move type.
-        e.swap_adjacent_operands(1);
-        e.complement_chain(0);
-        e.swap_operand_operator(2);
+        e.swap_adjacent_operands(nth(1));
+        e.complement_chain(nth(0));
+        e.swap_operand_operator(nth(2));
         e.flip_rotation(3);
         assert!(e.is_valid());
-        let ev = e.evaluate(&tile_sizes);
+        let ev = evaluate(&e, &tile_sizes);
         for i in 0..5 {
             for j in i + 1..5 {
                 assert!(
@@ -746,37 +457,31 @@ mod tests {
     fn moves_preserve_validity_and_are_undoable() {
         let mut e = PolishExpr::initial(6);
         let snapshot = e.clone();
-        if let Some(pair) = e.swap_adjacent_operands(2) {
+        let moves: [fn(&mut PolishExpr) -> Move; 4] = [
+            |e| e.swap_adjacent_operands(nth(2)),
+            |e| e.complement_chain(nth(1)),
+            |e| e.swap_operand_operator(nth(0)),
+            |e| e.flip_rotation(4),
+        ];
+        for apply in moves {
+            let mv = apply(&mut e);
+            assert_ne!(mv, Move::Nothing);
             assert!(e.is_valid());
-            e.unswap(pair);
+            e.undo(mv);
             assert_eq!(e, snapshot);
         }
-        if let Some(range) = e.complement_chain(1) {
-            assert!(e.is_valid());
-            e.uncomplement(range);
-            assert_eq!(e, snapshot);
-        }
-        if let Some(pair) = e.swap_operand_operator(0) {
-            assert!(e.is_valid());
-            e.unswap(pair);
-            assert_eq!(e, snapshot);
-        }
-        let t = e.flip_rotation(4);
-        e.flip_rotation(t);
-        assert_eq!(e, snapshot);
     }
 
     #[test]
     fn swap_operand_operator_balance_probe_keeps_full_validity() {
-        // The M3 probe checks prefix balance only; the result must still
-        // satisfy the full validity predicate (multiset included).
+        // M3 decides validity from one prefix balance; the result must
+        // still satisfy the full validity predicate (multiset included).
         for n in [2usize, 3, 5, 9] {
             let mut e = PolishExpr::initial(n);
-            for nth in 0..2 * n {
-                if let Some(pair) = e.swap_operand_operator(nth) {
-                    assert!(e.is_valid(), "n={n} nth={nth}: {:?}", e.elems());
-                    e.unswap(pair);
-                }
+            for k in 0..2 * n {
+                let mv = e.swap_operand_operator(nth(k));
+                assert!(e.is_valid(), "n={n} nth={k}: {:?}", e.elems());
+                e.undo(mv);
                 assert!(e.is_valid());
             }
         }
@@ -786,14 +491,14 @@ mod tests {
     fn area_conservation_tiles_fit_in_bounding_box() {
         let tile_sizes = sizes(&[(3, 3), (4, 2), (2, 5), (6, 1)]);
         let e = PolishExpr::initial(4);
-        let ev = e.evaluate(&tile_sizes);
+        let ev = evaluate(&e, &tile_sizes);
         let tile_area: i64 = tile_sizes.iter().map(|(w, h)| w.get() * h.get()).sum();
         assert!(ev.area().get() >= tile_area);
     }
 
     /// Drives a [`DeltaEval`] through every Wong–Liu move kind with
     /// random accept/reject decisions; after each step the incremental
-    /// state must equal a fresh [`PolishExpr::evaluate`].
+    /// state must equal a fresh [`evaluate`].
     #[test]
     fn delta_eval_matches_full_evaluate_under_random_moves() {
         use rand::rngs::StdRng;
@@ -808,43 +513,31 @@ mod tests {
                 })
                 .collect();
             let mut e = PolishExpr::initial(n);
-            let mut eval = e.delta_eval(&tile_sizes);
+            let mut eval = DeltaEval::new(&e, &tile_sizes);
             let mut rng = StdRng::seed_from_u64(n as u64);
             for step in 0..300 {
-                let before = e.clone();
-                let range = match rng.gen_range(0..4u8) {
-                    0 => e
-                        .swap_adjacent_operands(rng.gen_range(0..n.max(2)))
-                        .map(|(i, j)| (i.min(j), i.max(j))),
-                    1 => e
-                        .complement_chain(rng.gen_range(0..n.max(1)))
-                        .map(|(s, end)| (s, end - 1)),
-                    2 => e
-                        .swap_operand_operator(rng.gen_range(0..n.max(1)))
-                        .map(|(i, j)| (i.min(j), i.max(j))),
-                    _ => {
-                        let t = e.flip_rotation(rng.gen_range(0..n));
-                        let p = e
-                            .elems
-                            .iter()
-                            .position(|el| *el == Elem::Tile(t as u32))
-                            .unwrap();
-                        Some((p, p))
-                    }
+                let mv = match rng.gen_range(0..4u8) {
+                    0 => e.swap_adjacent_operands(nth(rng.gen_range(0..n.max(2)))),
+                    1 => e.complement_chain(nth(rng.gen_range(0..n.max(1)))),
+                    2 => e.swap_operand_operator(nth(rng.gen_range(0..n.max(1)))),
+                    _ => e.flip_rotation(rng.gen_range(0..n)),
                 };
-                let Some((lo, hi)) = range else {
+                let Some((lo, hi)) = (match mv {
+                    Move::Rotate(t) => Some((eval.tile_pos(t), eval.tile_pos(t))),
+                    mv => mv.span(),
+                }) else {
                     continue;
                 };
                 eval.update(&e, &tile_sizes, lo, hi);
-                let reference = e.evaluate(&tile_sizes);
+                let reference = evaluate(&e, &tile_sizes);
                 assert_eq!(eval.to_evaluated(), reference, "n={n} step={step}");
                 if rng.gen_bool(0.4) {
                     // Reject: undo the move and revert the evaluation.
-                    e = before;
+                    e.undo(mv);
                     eval.revert();
                     assert_eq!(
                         eval.to_evaluated(),
-                        e.evaluate(&tile_sizes),
+                        evaluate(&e, &tile_sizes),
                         "n={n} step={step} revert"
                     );
                 }
@@ -856,11 +549,11 @@ mod tests {
     fn delta_eval_rebuild_resets_to_any_expression() {
         let tile_sizes = sizes(&[(10, 4), (6, 8), (5, 5), (7, 3)]);
         let mut e = PolishExpr::initial(4);
-        let mut eval = e.delta_eval(&tile_sizes);
-        e.swap_adjacent_operands(1);
-        e.complement_chain(0);
+        let mut eval = DeltaEval::new(&e, &tile_sizes);
+        e.swap_adjacent_operands(nth(1));
+        e.complement_chain(nth(0));
         eval.rebuild(&e, &tile_sizes);
-        assert_eq!(eval.to_evaluated(), e.evaluate(&tile_sizes));
+        assert_eq!(eval.to_evaluated(), evaluate(&e, &tile_sizes));
         let mut all: Vec<u32> = eval.changed_tiles().to_vec();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3], "rebuild re-places every tile");
@@ -868,15 +561,9 @@ mod tests {
 
     #[test]
     fn invalid_expressions_detected() {
-        let bad = PolishExpr {
-            elems: vec![Elem::Op(Cut::Vertical), Elem::Tile(0), Elem::Tile(1)],
-            rotated: vec![false, false],
-        };
-        assert!(!bad.is_valid());
-        let dup = PolishExpr {
-            elems: vec![Elem::Tile(0), Elem::Tile(0), Elem::Op(Cut::Vertical)],
-            rotated: vec![false, false],
-        };
-        assert!(!dup.is_valid());
+        let bad = [Elem::Op(Cut::Vertical), Elem::Operand(0), Elem::Operand(1)];
+        assert!(PolishExpr::from_elems(bad.to_vec()).is_none());
+        let dup = [Elem::Operand(0), Elem::Operand(0), Elem::Op(Cut::Vertical)];
+        assert!(PolishExpr::from_elems(dup.to_vec()).is_none());
     }
 }

@@ -3,6 +3,7 @@
 
 use maestro_geom::{AspectRatio, Lambda, LambdaArea};
 use maestro_netlist::{DeviceId, LayoutStyle, Module, NetlistError, StatsCache};
+use maestro_place::postfix::{Move, PolishExpr};
 use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState};
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
@@ -10,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::polish::{DeltaEval, Evaluated, PolishExpr};
+use crate::polish::{evaluate, DeltaEval, Evaluated};
 use crate::wiring;
 
 /// Parameters of a synthesis run.
@@ -73,7 +74,7 @@ pub struct SynthSeed {
 impl SynthSeed {
     /// Number of tiles the seed's expression places.
     pub fn tile_count(&self) -> usize {
-        self.expr.tile_count()
+        self.expr.operand_count()
     }
 
     /// The annealing cost the seed's expression achieved.
@@ -194,17 +195,9 @@ struct SynthState<'m> {
     undo_hpwl: Vec<(u32, f64)>,
     /// Pre-move cost snapshot for O(1) restore on revert.
     snap_cost: f64,
-    undo: Option<Undo>,
+    undo: Option<Move>,
     evals_full: u64,
     evals_delta: u64,
-}
-
-#[derive(Clone)]
-enum Undo {
-    Swap((usize, usize)),
-    Chain((usize, usize)),
-    Rotation(usize),
-    None,
 }
 
 impl SynthState<'_> {
@@ -289,7 +282,7 @@ impl SynthState<'_> {
         self.evals_full += 1;
         match self.mode {
             EvalMode::Full => {
-                self.cached_eval = self.expr.evaluate(&self.tiles);
+                self.cached_eval = evaluate(&self.expr, &self.tiles);
                 self.cached_cost = self.evaluate_cost(&self.cached_eval);
             }
             EvalMode::Delta => {
@@ -337,44 +330,32 @@ impl AnnealState for SynthState<'_> {
     }
 
     fn propose_and_apply(&mut self, rng: &mut StdRng) -> f64 {
-        let n = self.expr.tile_count();
-        let undo = match rng.gen_range(0..4u8) {
-            0 => self
-                .expr
-                .swap_adjacent_operands(rng.gen_range(0..n))
-                .map(Undo::Swap)
-                .unwrap_or(Undo::None),
-            1 => self
-                .expr
-                .complement_chain(rng.gen_range(0..n))
-                .map(Undo::Chain)
-                .unwrap_or(Undo::None),
-            2 => self
-                .expr
-                .swap_operand_operator(rng.gen_range(0..n))
-                .map(Undo::Swap)
-                .unwrap_or(Undo::None),
-            _ => Undo::Rotation(self.expr.flip_rotation(rng.gen_range(0..n))),
+        // Every move draws one index in `0..n`; the expression reduces it
+        // modulo the move's candidate count.
+        let n = self.expr.operand_count();
+        let kind = rng.gen_range(0..4u8);
+        let nth = rng.gen_range(0..n);
+        let pick = |count: usize| nth % count;
+        let mv = match kind {
+            0 => self.expr.swap_adjacent_operands(pick),
+            1 => self.expr.complement_chain(pick),
+            2 => self.expr.swap_operand_operator(pick),
+            _ => self.expr.flip_rotation(nth),
         };
+        self.undo = Some(mv);
         match self.mode {
-            EvalMode::Full => {
-                self.undo = Some(undo);
-                self.refresh();
-            }
+            EvalMode::Full => self.refresh(),
             EvalMode::Delta => {
-                // Element-position span touched by the move. A chain
-                // `(s, e)` flips elements `s..e`; the rotation leaves its
-                // operand in place, so its position is still current.
-                let span = match &undo {
-                    Undo::Swap((i, j)) => Some((*i.min(j), *i.max(j))),
-                    Undo::Chain((s, e)) => Some((*s, e - 1)),
-                    Undo::Rotation(tile) => {
-                        let p = self.eval.tile_pos(*tile);
+                // Element-position span touched by the move; a rotation
+                // leaves its operand in place, so its position is still
+                // current.
+                let span = match mv {
+                    Move::Rotate(tile) => {
+                        let p = self.eval.tile_pos(tile);
                         Some((p, p))
                     }
-                    Undo::None => None,
+                    mv => mv.span(),
                 };
-                self.undo = Some(undo);
                 self.snap_cost = self.cached_cost;
                 match span {
                     Some((lo, hi)) => self.apply_delta(lo, hi),
@@ -392,14 +373,8 @@ impl AnnealState for SynthState<'_> {
     }
 
     fn revert(&mut self) {
-        match self.undo.take().expect("revert without move") {
-            Undo::Swap(pair) => self.expr.unswap(pair),
-            Undo::Chain(range) => self.expr.uncomplement(range),
-            Undo::Rotation(tile) => {
-                self.expr.flip_rotation(tile);
-            }
-            Undo::None => {}
-        }
+        self.expr
+            .undo(self.undo.take().expect("revert without move"));
         match self.mode {
             EvalMode::Full => self.refresh(),
             EvalMode::Delta => {
@@ -520,8 +495,8 @@ fn synthesize_with_seed(
             tile_nets[d].push(k as u32);
         }
     }
-    let initial_eval = expr.evaluate(&tiles);
-    let delta = expr.delta_eval(&tiles);
+    let initial_eval = evaluate(&expr, &tiles);
+    let delta = DeltaEval::new(&expr, &tiles);
     let net_count = net_comps.len();
     let mut state = SynthState {
         module,
@@ -552,7 +527,7 @@ fn synthesize_with_seed(
     // below run exactly as an unseeded synthesis would, so seeding can
     // only improve the reduced cost.
     let warm_state = warm.and_then(|seed| {
-        if seed.expr.tile_count() == state.tiles.len() && seed.expr.is_valid() {
+        if seed.expr.operand_count() == state.tiles.len() && seed.expr.is_valid() {
             trace::counter("fullcustom.warm_start", 1);
             let mut w = state.clone();
             w.expr = seed.expr.clone();

@@ -48,9 +48,10 @@ pub fn wiring_area(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::polish::PolishExpr;
+    use crate::polish::evaluate;
     use maestro_geom::Lambda;
     use maestro_netlist::ModuleBuilder;
+    use maestro_place::postfix::PolishExpr;
 
     fn pitch() -> Lambda {
         Lambda::new(6)
@@ -63,7 +64,7 @@ mod tests {
         b.device("q0", "pd", [("d", n)]);
         let m = b.finish();
         let expr = PolishExpr::initial(1);
-        let ev = expr.evaluate(&[(Lambda::new(14), Lambda::new(8))]);
+        let ev = evaluate(&expr, &[(Lambda::new(14), Lambda::new(8))]);
         assert_eq!(wiring_area(&m, &ev, pitch()), LambdaArea::ZERO);
     }
 
@@ -76,10 +77,13 @@ mod tests {
         let m = b.finish();
         // Two 4×8 tiles side by side: centers 4λ apart, within pitch 6λ.
         let expr = PolishExpr::initial(2);
-        let ev = expr.evaluate(&[
-            (Lambda::new(4), Lambda::new(8)),
-            (Lambda::new(4), Lambda::new(8)),
-        ]);
+        let ev = evaluate(
+            &expr,
+            &[
+                (Lambda::new(4), Lambda::new(8)),
+                (Lambda::new(4), Lambda::new(8)),
+            ],
+        );
         assert_eq!(wiring_area(&m, &ev, pitch()), LambdaArea::ZERO);
     }
 
@@ -91,10 +95,13 @@ mod tests {
         b.device("q1", "pd", [("s", n)]);
         let m = b.finish();
         let expr = PolishExpr::initial(2);
-        let ev = expr.evaluate(&[
-            (Lambda::new(40), Lambda::new(8)),
-            (Lambda::new(40), Lambda::new(8)),
-        ]);
+        let ev = evaluate(
+            &expr,
+            &[
+                (Lambda::new(40), Lambda::new(8)),
+                (Lambda::new(40), Lambda::new(8)),
+            ],
+        );
         // Centers 40λ apart horizontally: hpwl = 40.
         let expected = (40.0 * 6.0 * WIRE_SHARING_FACTOR).ceil() as i64;
         assert_eq!(wiring_area(&m, &ev, pitch()), LambdaArea::new(expected));
@@ -109,12 +116,12 @@ mod tests {
         }
         let m = b.finish();
         let tiles = vec![(Lambda::new(14), Lambda::new(8)); 4];
-        let compact = PolishExpr::initial(4).evaluate(&tiles);
+        let compact = evaluate(&PolishExpr::initial(4), &tiles);
         // A pathological all-in-one-row expression spreads the net more.
         let mut row = PolishExpr::initial(4);
         // initial(4) is 2×2; complementing chains yields different shapes.
-        row.complement_chain(0);
-        let spread = row.evaluate(&tiles);
+        row.complement_chain(|_| 0);
+        let spread = evaluate(&row, &tiles);
         let wa_compact = wiring_area(&m, &compact, pitch());
         let wa_spread = wiring_area(&m, &spread, pitch());
         // Not a strict theorem, but for these shapes the 2×2 is tighter.

@@ -1,9 +1,11 @@
-//! Property-based tests for the slicing-floorplan machinery: any sequence
-//! of annealing moves must preserve expression validity, and every
-//! evaluation must be a packing (disjoint tiles inside the bounding box).
+//! Property-based tests for tile evaluation: after any sequence of
+//! annealing moves, every evaluation must be a packing (disjoint tiles
+//! inside the bounding box). The moves' own properties (validity, exact
+//! undo) are tested with the expression, in `maestro_place::postfix`.
 
-use maestro_fullcustom::polish::PolishExpr;
+use maestro_fullcustom::polish::evaluate;
 use maestro_geom::Lambda;
+use maestro_place::postfix::PolishExpr;
 use proptest::prelude::*;
 
 fn tile_sizes(dims: &[(i64, i64)]) -> Vec<(Lambda, Lambda)> {
@@ -16,31 +18,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn random_move_sequences_preserve_validity(
-        dims in proptest::collection::vec((2i64..40, 2i64..40), 1..12),
-        moves in proptest::collection::vec((0u8..4, 0usize..64), 0..40),
-    ) {
-        let mut expr = PolishExpr::initial(dims.len());
-        for &(kind, arg) in &moves {
-            match kind {
-                0 => {
-                    expr.swap_adjacent_operands(arg);
-                }
-                1 => {
-                    expr.complement_chain(arg);
-                }
-                2 => {
-                    expr.swap_operand_operator(arg);
-                }
-                _ => {
-                    expr.flip_rotation(arg % dims.len());
-                }
-            }
-            prop_assert!(expr.is_valid(), "invalid after {kind}/{arg}: {:?}", expr.elems());
-        }
-    }
-
-    #[test]
     fn every_evaluation_is_a_packing(
         dims in proptest::collection::vec((2i64..40, 2i64..40), 1..12),
         moves in proptest::collection::vec((0u8..4, 0usize..64), 0..30),
@@ -48,22 +25,15 @@ proptest! {
         let sizes = tile_sizes(&dims);
         let mut expr = PolishExpr::initial(dims.len());
         for &(kind, arg) in &moves {
+            let pick = |count: usize| arg % count;
             match kind {
-                0 => {
-                    expr.swap_adjacent_operands(arg);
-                }
-                1 => {
-                    expr.complement_chain(arg);
-                }
-                2 => {
-                    expr.swap_operand_operator(arg);
-                }
-                _ => {
-                    expr.flip_rotation(arg % dims.len());
-                }
-            }
+                0 => expr.swap_adjacent_operands(pick),
+                1 => expr.complement_chain(pick),
+                2 => expr.swap_operand_operator(pick),
+                _ => expr.flip_rotation(arg % dims.len()),
+            };
         }
-        let ev = expr.evaluate(&sizes);
+        let ev = evaluate(&expr, &sizes);
         // Disjoint tiles…
         for i in 0..dims.len() {
             for j in i + 1..dims.len() {
@@ -87,29 +57,5 @@ proptest! {
         for (i, &(w, h)) in dims.iter().enumerate() {
             prop_assert_eq!(ev.placements[i].area().get(), w * h);
         }
-    }
-
-    #[test]
-    fn moves_are_exactly_undoable(
-        dims in proptest::collection::vec((2i64..20, 2i64..20), 2..10),
-        seed in 0usize..64,
-    ) {
-        let mut expr = PolishExpr::initial(dims.len());
-        let snapshot = expr.clone();
-        if let Some(pair) = expr.swap_adjacent_operands(seed) {
-            expr.unswap(pair);
-            prop_assert_eq!(&expr, &snapshot);
-        }
-        if let Some(range) = expr.complement_chain(seed) {
-            expr.uncomplement(range);
-            prop_assert_eq!(&expr, &snapshot);
-        }
-        if let Some(pair) = expr.swap_operand_operator(seed) {
-            expr.unswap(pair);
-            prop_assert_eq!(&expr, &snapshot);
-        }
-        let t = expr.flip_rotation(seed % dims.len());
-        expr.flip_rotation(t);
-        prop_assert_eq!(&expr, &snapshot);
     }
 }

@@ -16,13 +16,14 @@
 //! `serve` daemon answers from — so a serve response payload is
 //! byte-identical to the one-shot command's stdout.
 
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use maestro::estimator::pipeline::Pipeline;
 use maestro::estimator::standard_cell::ScParams;
 use maestro::netlist::chip;
 use maestro::netlist::RevisionManifest;
-use maestro::ops;
+use maestro::ops::{self, CommandError};
 use maestro::prelude::*;
 
 fn usage() -> &'static str {
@@ -210,9 +211,9 @@ fn stream_scale_metric(devices: usize) -> &'static str {
     }
 }
 
-fn cmd_estimate(opts: &Options) -> Result<(), String> {
+fn cmd_estimate(opts: &Options, out: &mut impl Write) -> Result<(), CommandError> {
     if opts.files.is_empty() && opts.generate.is_empty() {
-        return Err("no input files (pass files and/or --generate FAMILY:DEVICES)".to_owned());
+        return Err("no input files (pass files and/or --generate FAMILY:DEVICES)".into());
     }
     let tech = ops::load_tech(&opts.tech)?;
     let mut pipeline = Pipeline::new(tech);
@@ -221,7 +222,7 @@ fn cmd_estimate(opts: &Options) -> Result<(), String> {
     }
     let specs = parse_chip_specs(&opts.generate)?;
     if opts.stream && opts.since.is_some() {
-        return Err("--since diffs whole revisions in memory; drop --stream".to_owned());
+        return Err("--since diffs whole revisions in memory; drop --stream".into());
     }
     if opts.stream {
         // Streaming path: files are read whole and cut into module
@@ -241,8 +242,7 @@ fn cmd_estimate(opts: &Options) -> Result<(), String> {
                 .iter()
                 .flat_map(|spec| spec.modules().map(|m| ops::StreamItem::Parsed(Ok(m)))),
         );
-        let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-        let summary = ops::estimate_stream(&pipeline, items, opts.jobs, opts.json, &mut out)?;
+        let summary = ops::estimate_stream(&pipeline, items, opts.jobs, opts.json, out)?;
         let elapsed = started.elapsed().as_secs_f64();
         if maestro::trace::enabled() {
             maestro::trace::counter("estimate.devices", summary.devices as u64);
@@ -276,44 +276,42 @@ fn cmd_estimate(opts: &Options) -> Result<(), String> {
         let (text, run) =
             ops::estimate_output_incremental(&pipeline, &prev, &modules, opts.jobs, opts.json)?;
         eprintln!("since {since}: {}", run.diff.summary());
-        print!("{text}");
+        out.write_all(text.as_bytes())?;
     } else {
-        print!(
-            "{}",
-            ops::estimate_output(&pipeline, &modules, opts.jobs, opts.json)?
-        );
+        let text = ops::estimate_output(&pipeline, &modules, opts.jobs, opts.json)?;
+        out.write_all(text.as_bytes())?;
     }
     Ok(())
 }
 
-fn cmd_generate(opts: &Options) -> Result<(), String> {
+fn cmd_generate(opts: &Options, out: &mut impl Write) -> Result<(), CommandError> {
     // The spec may arrive positionally or through --generate; either way
     // exactly one chip per invocation.
     let mut specs = opts.files.clone();
     specs.extend(opts.generate.iter().cloned());
     if specs.len() != 1 {
-        return Err("generate takes exactly one FAMILY:DEVICES spec".to_owned());
+        return Err("generate takes exactly one FAMILY:DEVICES spec".into());
     }
     let spec = chip::ChipSpec::parse(&specs[0]).map_err(|e| e.to_string())?;
     if let Some(path) = &opts.out {
         ops::write_generated_mnl(&spec, path)?;
-        println!("wrote {path}");
+        writeln!(out, "wrote {path}")?;
     }
-    print!("{}", ops::generate_summary(&spec));
+    out.write_all(ops::generate_summary(&spec).as_bytes())?;
     Ok(())
 }
 
-fn cmd_expand(opts: &Options) -> Result<(), String> {
+fn cmd_expand(opts: &Options, out: &mut impl Write) -> Result<(), CommandError> {
     require_files(opts)?;
     for file in &opts.files {
         for module in ops::load_modules(file)? {
-            print!("{}", ops::expand_output(&module)?);
+            out.write_all(ops::expand_output(&module)?.as_bytes())?;
         }
     }
     Ok(())
 }
 
-fn cmd_layout(opts: &Options) -> Result<(), String> {
+fn cmd_layout(opts: &Options, out: &mut impl Write) -> Result<(), CommandError> {
     require_files(opts)?;
     let tech = ops::load_tech(&opts.tech)?;
     for file in &opts.files {
@@ -329,9 +327,9 @@ fn cmd_layout(opts: &Options) -> Result<(), String> {
             )?;
             if let (Some(path), Some(svg)) = (&opts.svg, &outcome.svg) {
                 std::fs::write(path, svg).map_err(|e| format!("{path}: {e}"))?;
-                println!("wrote {path}");
+                writeln!(out, "wrote {path}")?;
             }
-            print!("{}", outcome.summary);
+            out.write_all(outcome.summary.as_bytes())?;
         }
     }
     Ok(())
@@ -346,7 +344,7 @@ fn planning_pipeline(opts: &Options) -> Result<Pipeline, String> {
     Ok(pipeline)
 }
 
-fn cmd_report(opts: &Options) -> Result<(), String> {
+fn cmd_report(opts: &Options, out: &mut impl Write) -> Result<(), CommandError> {
     require_files(opts)?;
     let pipeline = planning_pipeline(opts)?;
     let mut modules = Vec::new();
@@ -354,25 +352,25 @@ fn cmd_report(opts: &Options) -> Result<(), String> {
         modules.extend(ops::load_modules(file)?);
     }
     let (text, plan) = ops::report_output(&pipeline, &modules, opts.aspect, opts.jobs)?;
-    print!("{text}");
+    out.write_all(text.as_bytes())?;
     if let (Some(path), Some(plan)) = (&opts.svg, &plan) {
         std::fs::write(path, plan.to_svg()).map_err(|e| format!("{path}: {e}"))?;
-        println!("\n(floorplan drawing written to {path})");
+        writeln!(out, "\n(floorplan drawing written to {path})")?;
     }
     Ok(())
 }
 
-fn cmd_depth(opts: &Options) -> Result<(), String> {
+fn cmd_depth(opts: &Options, out: &mut impl Write) -> Result<(), CommandError> {
     require_files(opts)?;
     for file in &opts.files {
         for module in ops::load_modules(file)? {
-            print!("{}", ops::depth_output(&module)?);
+            out.write_all(ops::depth_output(&module)?.as_bytes())?;
         }
     }
     Ok(())
 }
 
-fn cmd_floorplan(opts: &Options) -> Result<(), String> {
+fn cmd_floorplan(opts: &Options, out: &mut impl Write) -> Result<(), CommandError> {
     require_files(opts)?;
     let pipeline = planning_pipeline(opts)?;
     let mut modules = Vec::new();
@@ -382,15 +380,15 @@ fn cmd_floorplan(opts: &Options) -> Result<(), String> {
     let (text, plan) = ops::floorplan_output(&pipeline, &modules, opts.aspect)?;
     if let Some(path) = &opts.svg {
         std::fs::write(path, plan.to_svg()).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
+        writeln!(out, "wrote {path}")?;
     }
-    print!("{text}");
+    out.write_all(text.as_bytes())?;
     Ok(())
 }
 
-fn cmd_serve(opts: &Options) -> Result<(), String> {
+fn cmd_serve(opts: &Options) -> Result<(), CommandError> {
     if !opts.files.is_empty() {
-        return Err("serve takes no input files (sources arrive inside requests)".to_owned());
+        return Err("serve takes no input files (sources arrive inside requests)".into());
     }
     let session = maestro::serve::Session::new();
     let summary = match &opts.socket {
@@ -411,10 +409,10 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_perf_report(opts: &Options) -> Result<(), String> {
+fn cmd_perf_report(opts: &Options, out: &mut impl Write) -> Result<(), CommandError> {
     use maestro::trace::report::PerfReport;
     if opts.files.is_empty() {
-        return Err("perf-report takes at least one trace file".to_owned());
+        return Err("perf-report takes at least one trace file".into());
     }
     let label = opts.label.as_deref().unwrap_or("run");
     // Span IDs restart per traced process, so each file is folded on its
@@ -429,13 +427,13 @@ fn cmd_perf_report(opts: &Options) -> Result<(), String> {
         }
     }
     let report = report.expect("at least one file");
-    let out = opts
+    let out_path = opts
         .out
         .clone()
         .unwrap_or_else(|| format!("BENCH_{label}.json"));
-    std::fs::write(&out, report.to_json()).map_err(|e| format!("{out}: {e}"))?;
-    print!("{}", report.render());
-    println!("wrote {out}");
+    std::fs::write(&out_path, report.to_json()).map_err(|e| format!("{out_path}: {e}"))?;
+    out.write_all(report.render().as_bytes())?;
+    writeln!(out, "wrote {out_path}")?;
     // The CI trace-regression gate: against a committed baseline report,
     // any stage whose self time grew beyond the envelope fails the run.
     if let Some(path) = &opts.baseline {
@@ -459,22 +457,25 @@ fn cmd_perf_report(opts: &Options) -> Result<(), String> {
             for r in &found {
                 msg.push_str(&format!("\n  {r}"));
             }
-            return Err(msg);
+            return Err(msg.into());
         }
-        println!("no stage regressed more than {max_regression}% against {path}");
+        writeln!(
+            out,
+            "no stage regressed more than {max_regression}% against {path}"
+        )?;
     }
     Ok(())
 }
 
-fn cmd_shootout(opts: &Options) -> Result<(), String> {
+fn cmd_shootout(opts: &Options, out: &mut impl Write) -> Result<(), CommandError> {
     use maestro::floorplan::shootout::{paper_cases, regressions, ShootoutReport};
     use maestro::floorplan::{backend, PlanParams};
     if !opts.files.is_empty() {
-        return Err("shootout takes no input files (it runs the built-in suite)".to_owned());
+        return Err("shootout takes no input files (it runs the built-in suite)".into());
     }
     let label = opts.label.as_deref().unwrap_or("run");
     if label.trim().is_empty() {
-        return Err("--label must not be empty or whitespace".to_owned());
+        return Err("--label must not be empty or whitespace".into());
     }
     // `--quick` trades annealing depth for speed — fine for smoke runs,
     // but baselines and CI must compare like with like, so both sides of
@@ -490,13 +491,13 @@ fn cmd_shootout(opts: &Options) -> Result<(), String> {
     }
     let cases = paper_cases()?;
     let report = ShootoutReport::run(label, &cases, &backend::registry(&params));
-    let out = opts
+    let out_path = opts
         .out
         .clone()
         .unwrap_or_else(|| format!("SHOOTOUT_{label}.json"));
-    std::fs::write(&out, report.to_json()).map_err(|e| format!("{out}: {e}"))?;
-    print!("{}", report.render());
-    println!("\nwrote {out}");
+    std::fs::write(&out_path, report.to_json()).map_err(|e| format!("{out_path}: {e}"))?;
+    out.write_all(report.render().as_bytes())?;
+    writeln!(out, "\nwrote {out_path}")?;
     // The CI quality gate: against a committed baseline shootout, any
     // backend whose area or wirelength grew beyond the envelope on any
     // case fails the run. Wall time is never gated.
@@ -513,9 +514,12 @@ fn cmd_shootout(opts: &Options) -> Result<(), String> {
             for r in &found {
                 msg.push_str(&format!("\n  {r}"));
             }
-            return Err(msg);
+            return Err(msg.into());
         }
-        println!("no backend regressed more than {max_regression}% against {path}");
+        writeln!(
+            out,
+            "no backend regressed more than {max_regression}% against {path}"
+        )?;
     }
     Ok(())
 }
@@ -561,25 +565,41 @@ fn main() -> ExitCode {
     }
     let result = {
         let _root = maestro::trace::span(root_span_name(cmd));
-        match cmd.as_str() {
-            "estimate" => cmd_estimate(&opts),
-            "generate" => cmd_generate(&opts),
-            "expand" => cmd_expand(&opts),
-            "depth" => cmd_depth(&opts),
-            "report" => cmd_report(&opts),
-            "layout" => cmd_layout(&opts),
-            "floorplan" => cmd_floorplan(&opts),
-            "shootout" => cmd_shootout(&opts),
-            "serve" => cmd_serve(&opts),
-            "perf-report" => cmd_perf_report(&opts),
-            other => Err(format!("unknown command `{other}`\n{}", usage())),
+        if cmd == "serve" {
+            // The daemon's workers share stdout through their own sink.
+            cmd_serve(&opts)
+        } else {
+            let mut out = BufWriter::new(io::stdout().lock());
+            let ran = match cmd.as_str() {
+                "estimate" => cmd_estimate(&opts, &mut out),
+                "generate" => cmd_generate(&opts, &mut out),
+                "expand" => cmd_expand(&opts, &mut out),
+                "depth" => cmd_depth(&opts, &mut out),
+                "report" => cmd_report(&opts, &mut out),
+                "layout" => cmd_layout(&opts, &mut out),
+                "floorplan" => cmd_floorplan(&opts, &mut out),
+                "shootout" => cmd_shootout(&opts, &mut out),
+                "perf-report" => cmd_perf_report(&opts, &mut out),
+                other => Err(format!("unknown command `{other}`\n{}", usage()).into()),
+            };
+            // Flush whatever the outcome: a failing command may still
+            // have written output, and dropping the buffer would discard
+            // its write error.
+            let flushed = out.flush();
+            ran.and(flushed.map_err(CommandError::Write))
         }
     };
     // Flush the trace file before exiting (drops the sink).
     maestro::trace::uninstall();
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // A closed stdout (`| head`) ends the command quietly.
+        Err(CommandError::Write(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(CommandError::Write(e)) => {
+            eprintln!("error: write: {e}");
+            ExitCode::FAILURE
+        }
+        Err(CommandError::Failed(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }

@@ -4,8 +4,8 @@
 //! identically — the serve replay suite asserts responses byte-for-byte
 //! against one-shot stdout. The only way to keep that contract cheap is
 //! to have a single implementation: each function here renders the exact
-//! text the CLI prints (every line `\n`-terminated), the CLI `print!`s
-//! it and the daemon ships it as a response payload.
+//! text the CLI prints (every line `\n`-terminated), the CLI writes it
+//! to stdout and the daemon ships it as a response payload.
 
 use std::borrow::{Borrow, Cow};
 use std::fmt::Write as _;
@@ -23,6 +23,33 @@ use maestro_place::{place, PlaceParams};
 use maestro_route::route;
 use maestro_tech::{builtin, io as tech_io, ProcessDb};
 use maestro_trace as trace;
+
+/// Why a command stopped early.
+#[derive(Debug)]
+pub enum CommandError {
+    /// An input, usage or gate failure, with the message to report.
+    Failed(String),
+    /// Writing the command's output failed.
+    Write(std::io::Error),
+}
+
+impl From<String> for CommandError {
+    fn from(message: String) -> Self {
+        CommandError::Failed(message)
+    }
+}
+
+impl From<&str> for CommandError {
+    fn from(message: &str) -> Self {
+        CommandError::Failed(message.to_owned())
+    }
+}
+
+impl From<std::io::Error> for CommandError {
+    fn from(e: std::io::Error) -> Self {
+        CommandError::Write(e)
+    }
+}
 
 /// Resolves a `--tech` spec: the built-in names or a process-DB JSON path.
 pub fn load_tech(spec: &str) -> Result<ProcessDb, String> {
@@ -227,19 +254,23 @@ pub fn estimate_record_text(rec: &EstimateRecord) -> String {
 /// does. That is an ordinary engine error: the records of every item
 /// before it are written, then the error is returned, the order the
 /// engine keeps for an estimation error. `out` is flushed on success and
-/// on failure alike, so a buffered writer loses nothing.
+/// on failure alike, so a buffered writer loses nothing. A failed write
+/// stops the stream too, and is returned as [`CommandError::Write`].
 pub fn estimate_stream<I, W>(
     pipeline: &Pipeline,
     items: I,
     jobs: usize,
     json: bool,
     out: &mut W,
-) -> Result<StreamSummary, String>
+) -> Result<StreamSummary, CommandError>
 where
     I: IntoIterator,
     I::Item: BatchItem,
     W: std::io::Write,
 {
+    // A sink error stops the engine. A failed write is kept and returned
+    // as itself, so it is never reported as a netlist error.
+    let mut write_error = None;
     let summary = pipeline.run_all_streaming(items, jobs, |rec| {
         let rendered = if json {
             let mut line = serde_json::to_string(&rec)
@@ -249,12 +280,17 @@ where
         } else {
             estimate_record_text(&rec)
         };
-        out.write_all(rendered.as_bytes())
-            .map_err(|e| NetlistError::invalid(format!("write: {e}")))
+        out.write_all(rendered.as_bytes()).map_err(|e| {
+            write_error = Some(e);
+            NetlistError::invalid("output closed")
+        })
     });
     let flushed = out.flush();
+    if let Some(e) = write_error {
+        return Err(e.into());
+    }
     let summary = summary.map_err(|e| e.to_string())?;
-    flushed.map_err(|e| e.to_string())?;
+    flushed?;
     Ok(summary)
 }
 

@@ -20,7 +20,8 @@
 //! channels and a *real* module area for the Table 2 comparison.
 //!
 //! The generic annealing engine lives in [`anneal`] and is shared with the
-//! full-custom synthesizer and the floorplanner.
+//! full-custom synthesizer and the floorplanner, which also share the
+//! slicing expression they anneal and its delta evaluator ([`postfix`]).
 //!
 //! # Examples
 //!

@@ -885,3 +885,72 @@ fn bad_flag_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
 }
+
+/// Runs the CLI with stdout on a pipe, reads its first bytes, then
+/// closes the pipe while the command is still writing, as `| head -c`
+/// does.
+fn close_stdout_early(args: &[&str]) -> std::process::Output {
+    use std::io::Read;
+    use std::process::Stdio;
+    let mut child = cli()
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("runs");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut head = [0u8; 100];
+    stdout
+        .read_exact(&mut head)
+        .expect("the first bytes arrive");
+    drop(stdout);
+    child.wait_with_output().expect("exits")
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    // Both outputs are several times the size of a pipe buffer, so the
+    // command is still writing when the reader goes away.
+    for stream in [false, true] {
+        let mut args = vec![
+            "estimate",
+            "--generate",
+            "mixed:20k",
+            "--tech",
+            "cmos",
+            "--json",
+        ];
+        if stream {
+            args.push("--stream");
+        }
+        let out = close_stdout_early(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "stream={stream}: {:?}: {err}",
+            out.status
+        );
+        assert!(err.is_empty(), "stream={stream}: {err}");
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_full_stdout_fails_with_a_write_error() {
+    for stream in [false, true] {
+        let full = std::fs::OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("/dev/full opens");
+        let mut cmd = cli();
+        cmd.args(["estimate", &asset("table1.mnl")]);
+        if stream {
+            cmd.arg("--stream");
+        }
+        let out = cmd.stdout(full).output().expect("runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stream={stream}: {err}");
+        assert!(err.starts_with("error: write: "), "stream={stream}: {err}");
+        assert!(!err.contains("invalid netlist"), "stream={stream}: {err}");
+    }
+}
