@@ -6,7 +6,9 @@
 //! fixture diff. A third fixture pins the two slicing annealers
 //! themselves: every floorplan backend's placements over the Table 1/2
 //! blocks, and the synthesizer's tile placements for the Table 1
-//! circuits.
+//! circuits. A fourth pins the same backends over the shootout's
+//! generated cases, whose longer shape curves tie often in width and
+//! height.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -194,25 +196,16 @@ struct FloorplanSnapshot {
     synthesis: Vec<SynthRow>,
 }
 
-#[test]
-fn floorplans_and_tile_placements_match_golden_fixture() {
+/// Every registered backend's floorplan of each shootout case named in
+/// `names`, at each labelled parameter setting.
+fn plan_rows(names: &[&str], settings: &[(&'static str, PlanParams)]) -> Vec<PlanRow> {
     let cases: Vec<_> = paper_cases()
         .expect("shootout suite builds")
         .into_iter()
-        .filter(|c| c.name == "table1" || c.name == "table2")
+        .filter(|c| names.contains(&c.name.as_str()))
         .collect();
-    let settings = [
-        ("default", PlanParams::default()),
-        (
-            "aspect1.5_replicas3",
-            PlanParams {
-                replicas: 3,
-                ..PlanParams::default().with_aspect_limit(1.5)
-            },
-        ),
-    ];
     let mut floorplans = Vec::new();
-    for (label, params) in &settings {
+    for (label, params) in settings {
         for case in &cases {
             for backend in registry(params) {
                 let plan = backend.plan(&case.blocks, Some(&case.netlist)).plan;
@@ -231,6 +224,22 @@ fn floorplans_and_tile_placements_match_golden_fixture() {
             }
         }
     }
+    floorplans
+}
+
+#[test]
+fn floorplans_and_tile_placements_match_golden_fixture() {
+    let settings = [
+        ("default", PlanParams::default()),
+        (
+            "aspect1.5_replicas3",
+            PlanParams {
+                replicas: 3,
+                ..PlanParams::default().with_aspect_limit(1.5)
+            },
+        ),
+    ];
+    let floorplans = plan_rows(&["table1", "table2"], &settings);
 
     let tech = builtin::nmos25();
     let synthesis = library_circuits::table1_suite()
@@ -256,5 +265,24 @@ fn floorplans_and_tile_placements_match_golden_fixture() {
             floorplans,
             synthesis,
         },
+    );
+}
+
+#[derive(Serialize)]
+struct GeneratedFloorplanSnapshot {
+    floorplans: Vec<PlanRow>,
+}
+
+/// The shootout's larger cases: more blocks, and longer shape curves
+/// with many equal widths and heights, than the Table 1/2 cases above.
+#[test]
+fn generated_floorplans_match_golden_fixture() {
+    let floorplans = plan_rows(
+        &["table1+2", "gen-adders", "gen-soft24"],
+        &[("default", PlanParams::default())],
+    );
+    assert_matches_golden(
+        "floorplan_generated.json",
+        &GeneratedFloorplanSnapshot { floorplans },
     );
 }
