@@ -77,6 +77,25 @@ pub const FLOORPLAN_BACKENDS: &[&str] = &["annealing", "annealing-warm", "spanni
 /// client written before backends existed.
 pub const DEFAULT_FLOORPLAN_BACKEND: &str = "annealing";
 
+/// Checks a chip aspect-ratio limit. The limit is the long side ÷ the
+/// short side, so it must be finite and at least 1. Every front end that
+/// accepts a limit (the request codec's `aspect` field, the CLI's
+/// `--aspect` flag) checks it here, naming itself as `what` in the error.
+///
+/// # Errors
+///
+/// Returns the rule and the offending value when `limit` is NaN,
+/// infinite or below 1.
+pub fn check_aspect_limit(what: &str, limit: f64) -> Result<f64, String> {
+    if limit.is_finite() && limit >= 1.0 {
+        Ok(limit)
+    } else {
+        Err(format!(
+            "{what} must be a finite ratio ≥ 1 (long side ÷ short side), got {limit}"
+        ))
+    }
+}
+
 /// One protocol request: a client-chosen correlation id plus the call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
@@ -152,7 +171,8 @@ pub struct FloorplanRequest {
     pub mnl: Vec<String>,
     /// Technology spec.
     pub tech: String,
-    /// Chip aspect-ratio limit (finite, positive).
+    /// Chip aspect-ratio limit, long side ÷ short side (finite, ≥ 1; see
+    /// [`check_aspect_limit`]).
     pub aspect: Option<f64>,
     /// Annealing replicas (`1..=`[`MAX_FANOUT`]).
     pub replicas: u32,
@@ -169,7 +189,8 @@ pub struct ReportRequest {
     pub mnl: Vec<String>,
     /// Technology spec.
     pub tech: String,
-    /// Chip aspect-ratio limit (finite, positive).
+    /// Chip aspect-ratio limit, long side ÷ short side (finite, ≥ 1; see
+    /// [`check_aspect_limit`]).
     pub aspect: Option<f64>,
     /// Annealing replicas (`1..=`[`MAX_FANOUT`]).
     pub replicas: u32,
@@ -620,13 +641,7 @@ fn parse_aspect(fields: &[(String, Value)]) -> Result<Option<f64>, String> {
         Some(Value::Null) | None => Ok(None),
         Some(v) => {
             let aspect = v.as_f64().ok_or("field `aspect` must be a number")?;
-            if aspect.is_finite() && aspect > 0.0 {
-                Ok(Some(aspect))
-            } else {
-                Err(format!(
-                    "field `aspect` must be finite and positive, got {aspect}"
-                ))
-            }
+            check_aspect_limit("field `aspect`", aspect).map(Some)
         }
     }
 }
@@ -794,6 +809,8 @@ mod tests {
             "{\"id\":\"x\",\"kind\":\"layout\",\"files\":[\"a\"],\"replicas\":0}",
             "{\"id\":\"x\",\"kind\":\"floorplan\",\"files\":[\"a\"],\"aspect\":0}",
             "{\"id\":\"x\",\"kind\":\"floorplan\",\"files\":[\"a\"],\"aspect\":-1.5}",
+            "{\"id\":\"x\",\"kind\":\"floorplan\",\"files\":[\"a\"],\"aspect\":0.5}",
+            "{\"id\":\"x\",\"kind\":\"report\",\"files\":[\"a\"],\"aspect\":0.999}",
         ] {
             let err = Request::parse(line).expect_err(line);
             assert_eq!(err.id.as_deref(), Some("x"), "{line}");

@@ -100,7 +100,7 @@ proptest! {
         seed in 0u64..u64::MAX,
         rows in 1u32..=MAX_ROWS,
         fanout in 1u32..=MAX_FANOUT,
-        aspect_milli in 1u32..=20_000,
+        aspect_milli in 1_000u32..=20_000,
     ) {
         let request = build_request(kind, seed, rows, fanout, aspect_milli);
         let line = request.to_json_line();
@@ -157,6 +157,11 @@ proptest! {
                 seed % 1000 + 1
             ),
             "{\"id\":\"x\",\"kind\":\"report\",\"files\":[\"a\"],\"aspect\":0}".to_owned(),
+            "{\"id\":\"x\",\"kind\":\"floorplan\",\"files\":[\"a\"],\"aspect\":0.5}".to_owned(),
+            format!(
+                "{{\"id\":\"x\",\"kind\":\"report\",\"files\":[\"a\"],\"aspect\":0.{}}}",
+                seed % 999 + 1
+            ),
         ] {
             let err = Request::parse(&line).expect_err(&line);
             prop_assert_eq!(err.id.as_deref(), Some("x"), "{}", line);

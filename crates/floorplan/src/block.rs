@@ -3,11 +3,11 @@
 use maestro_estimator::{EstimateRecord, Pipeline};
 use maestro_geom::{Lambda, LambdaArea, ShapeCurve};
 use maestro_netlist::{Module, NetlistError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A module as the floorplanner sees it: a name and a curve of feasible
 /// (width, height) realizations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Block {
     name: String,
     curve: ShapeCurve,

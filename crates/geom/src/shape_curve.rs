@@ -6,6 +6,17 @@
 //! flexibility: a staircase of non-dominated `(width, height)` realizations.
 //! The slicing floorplanner combines child curves with the Stockmeyer
 //! algorithm to find the minimum-area chip.
+//!
+//! Every curve is a *staircase*: non-empty, widths strictly rising,
+//! heights strictly falling. [`ShapeCurve::from_points`] builds one from
+//! any candidates, and the combines keep it. [`ShapeCurve::beside`] and
+//! [`ShapeCurve::stacked`] rely on it: they combine a k-point and an
+//! m-point curve with Stockmeyer's linear merge (Stockmeyer 1983), one
+//! walk over both staircases in O(k + m) that emits at most k + m − 1
+//! points, every one of them on the frontier of all k × m corner pairs.
+//! A point set has exactly one frontier, so the merge returns the same
+//! curve as pairing every corner and pruning, without building or
+//! sorting the pairs.
 
 use std::fmt;
 
@@ -59,6 +70,9 @@ impl fmt::Display for ShapePoint {
 /// A module's shape curve: the Pareto frontier of feasible realizations,
 /// stored with width strictly increasing and height strictly decreasing.
 ///
+/// The type is `Serialize` only: a deserialized curve could skip
+/// [`ShapeCurve::from_points`] and break the staircase the combines walk.
+///
 /// # Examples
 ///
 /// ```
@@ -73,7 +87,7 @@ impl fmt::Display for ShapePoint {
 /// assert_eq!(curve.len(), 3);
 /// assert_eq!(curve.min_area_point().area().get(), 36);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct ShapeCurve {
     points: Vec<ShapePoint>,
 }
@@ -209,25 +223,77 @@ impl ShapeCurve {
 
     /// Stockmeyer combination for a **horizontal** cut: children stacked
     /// side by side (widths add, heights max).
+    ///
+    /// Stockmeyer's linear merge, which relies on both curves being
+    /// staircases (as every constructed curve is): it starts at both
+    /// narrowest (tallest) points. Only lowering the taller side can
+    /// lower the combined height, so after each emitted point it
+    /// advances the taller side, or both on a tie, and stops when a side
+    /// it must advance has no next point. O(k + m) for curves of k and m
+    /// points; the result has at most k + m − 1.
     pub fn beside(&self, other: &ShapeCurve) -> ShapeCurve {
-        ShapeCurve::from_points(self.points.iter().flat_map(|a| {
-            other
-                .points
-                .iter()
-                .map(move |b| ShapePoint::new(a.width + b.width, a.height.max(b.height)))
-        }))
+        let points = merge(
+            self.points.iter(),
+            other.points.iter(),
+            |p| p.height,
+            |a, b| ShapePoint::new(a.width + b.width, a.height.max(b.height)),
+        );
+        ShapeCurve { points }
     }
 
     /// Stockmeyer combination for a **vertical** cut: children stacked on
     /// top of each other (heights add, widths max).
+    ///
+    /// The mirror image of [`ShapeCurve::beside`], with the same
+    /// staircase precondition: the merge starts at both widest points
+    /// and advances the wider side toward narrower points. Same
+    /// O(k + m) cost and k + m − 1 bound.
     pub fn stacked(&self, other: &ShapeCurve) -> ShapeCurve {
-        ShapeCurve::from_points(self.points.iter().flat_map(|a| {
-            other
-                .points
-                .iter()
-                .map(move |b| ShapePoint::new(a.width.max(b.width), a.height + b.height))
-        }))
+        let mut points = merge(
+            self.points.iter().rev(),
+            other.points.iter().rev(),
+            |p| p.width,
+            |a, b| ShapePoint::new(a.width.max(b.width), a.height + b.height),
+        );
+        points.reverse();
+        ShapeCurve { points }
     }
+}
+
+/// Stockmeyer's merge of two staircases, each walked from its point with
+/// the largest `level` (the coordinate the combine takes the max of).
+/// Pairs the current points, then advances whichever side sets the
+/// combined level, both on a tie; a side that must advance but is spent
+/// ends the walk, since no later pair can lower the level. The points
+/// come out in the walk's order, each strictly lower in `level` than the
+/// one before.
+fn merge<'a, I: ExactSizeIterator<Item = &'a ShapePoint>>(
+    mut a: I,
+    mut b: I,
+    level: impl Fn(&ShapePoint) -> Lambda,
+    join: impl Fn(&ShapePoint, &ShapePoint) -> ShapePoint,
+) -> Vec<ShapePoint> {
+    let mut out = Vec::with_capacity((a.len() + b.len()).saturating_sub(1));
+    let (Some(mut p), Some(mut q)) = (a.next(), b.next()) else {
+        unreachable!("shape curves are never empty")
+    };
+    loop {
+        out.push(join(p, q));
+        let (lp, lq) = (level(p), level(q));
+        if lp >= lq {
+            match a.next() {
+                Some(next) => p = next,
+                None => break,
+            }
+        }
+        if lq >= lp {
+            match b.next() {
+                Some(next) => q = next,
+                None => break,
+            }
+        }
+    }
+    out
 }
 
 impl fmt::Display for ShapeCurve {
@@ -246,9 +312,74 @@ impl fmt::Display for ShapeCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sp(w: i64, h: i64) -> ShapePoint {
         ShapePoint::new(Lambda::new(w), Lambda::new(h))
+    }
+
+    /// The reference combine: every corner pair, pruned to the frontier.
+    fn all_pairs(
+        a: &ShapeCurve,
+        b: &ShapeCurve,
+        join: impl Fn(ShapePoint, ShapePoint) -> ShapePoint,
+    ) -> ShapeCurve {
+        let mut pairs = Vec::new();
+        for &p in a.points() {
+            for &q in b.points() {
+                pairs.push(join(p, q));
+            }
+        }
+        ShapeCurve::from_points(pairs)
+    }
+
+    /// A staircase of 1–12 points whose widths and heights are distinct
+    /// values from 1..=16, chosen by sorting 1..=16 on random keys. With
+    /// so few values, two curves often share a width or a height.
+    fn staircase() -> impl Strategy<Value = ShapeCurve> {
+        (1usize..=12, vec(any::<u64>(), 32..33)).prop_map(|(k, keys)| {
+            let pick = |keys: &[u64]| {
+                let mut values: Vec<i64> = (1..=16).collect();
+                values.sort_by_key(|&v| keys[v as usize - 1]);
+                let mut chosen = values[..k].to_vec();
+                chosen.sort_unstable();
+                chosen
+            };
+            let widths = pick(&keys[..16]);
+            let heights = pick(&keys[16..]);
+            let curve = ShapeCurve::from_points(
+                widths
+                    .iter()
+                    .zip(heights.iter().rev())
+                    .map(|(&w, &h)| sp(w, h)),
+            );
+            assert_eq!(curve.len(), k, "a staircase keeps every point");
+            curve
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn merges_match_the_all_pairs_frontier(a in staircase(), b in staircase()) {
+            let bound = a.len() + b.len() - 1;
+            let beside = a.beside(&b);
+            prop_assert_eq!(
+                &beside,
+                &all_pairs(&a, &b, |p, q| ShapePoint::new(p.width + q.width, p.height.max(q.height))),
+                "beside {} {}", a, b
+            );
+            prop_assert!(beside.len() <= bound, "beside {} {}", a, b);
+            let stacked = a.stacked(&b);
+            prop_assert_eq!(
+                &stacked,
+                &all_pairs(&a, &b, |p, q| ShapePoint::new(p.width.max(q.width), p.height + q.height)),
+                "stacked {} {}", a, b
+            );
+            prop_assert!(stacked.len() <= bound, "stacked {} {}", a, b);
+        }
     }
 
     #[test]

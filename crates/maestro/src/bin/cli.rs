@@ -20,6 +20,7 @@ use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use maestro::estimator::pipeline::Pipeline;
+use maestro::estimator::request::check_aspect_limit;
 use maestro::estimator::standard_cell::ScParams;
 use maestro::netlist::chip;
 use maestro::netlist::RevisionManifest;
@@ -106,7 +107,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--aspect" => {
                 let v = it.next().ok_or("--aspect needs a value")?;
-                opts.aspect = Some(v.parse().map_err(|_| format!("bad aspect `{v}`"))?);
+                let limit = v.parse().map_err(|_| format!("bad aspect `{v}`"))?;
+                opts.aspect = Some(check_aspect_limit("--aspect", limit)?);
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;

@@ -535,6 +535,29 @@ fn floorplan_packs_multiple_files() {
 }
 
 #[test]
+fn aspect_limits_below_one_or_not_finite_fail_cleanly() {
+    for (command, limit) in [
+        ("floorplan", "0.5"),
+        ("floorplan", "NaN"),
+        ("floorplan", "inf"),
+        ("report", "0.5"),
+    ] {
+        let out = cli()
+            .args([command, &asset("full_adder.mnl"), "--aspect", limit])
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command} {limit}: {stderr}");
+        assert!(
+            stderr.starts_with("error: --aspect must be a finite ratio ≥ 1"),
+            "{command} {limit}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{command} {limit}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command} {limit}");
+    }
+}
+
+#[test]
 fn report_renders_markdown_with_floorplan() {
     let out = cli()
         .args([
