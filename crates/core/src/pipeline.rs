@@ -15,8 +15,10 @@
 //! various different layout methodologies").
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 
 use maestro_netlist::{
     diff, mnl, CacheStats, Fingerprinted, LayoutStyle, Module, NetlistDiff, NetlistError,
@@ -45,7 +47,7 @@ pub const DEFAULT_PARALLEL_NET_THRESHOLD: usize = 48;
 /// consecutive items weighing at most
 /// `min(DEFAULT_SHARD_NET_BUDGET, ceil(wave_weight / jobs))` (always at
 /// least one item), so a 10^5-module batch of tiny modules dispatches
-/// chunky shards instead of contending on the work counter once per
+/// chunky shards instead of contending on the work queue once per
 /// module, while worker count follows the workload rather than the
 /// module count.
 pub const DEFAULT_SHARD_NET_BUDGET: usize = 4096;
@@ -79,17 +81,21 @@ impl StreamSummary {
     }
 }
 
+/// What the batch engine makes of one item: its record and its share of
+/// the [`StreamSummary`], or the error that stops the stream.
+type ItemResult = Result<(EstimateRecord, StreamSummary), NetlistError>;
+
 /// One unit of work for the batch engine ([`Pipeline::run_all_streaming`]):
 /// a module, or the text of one still to parse.
 ///
 /// The engine sizes waves and shards by [`BatchItem::weight`] on the
-/// thread that pulls the stream, and calls [`BatchItem::module`] on
-/// whichever thread estimates the item. A parsed module weighs its nets
-/// and lends itself; an `.mnl` [`mnl::Chunk`] weighs its statements and
-/// parses itself there, so a file's parse spreads over the workers along
-/// with its estimation, and each parsed module lives and dies on one
-/// thread.
-pub trait BatchItem: Sync {
+/// thread that pulls the stream, sends each shard's items to the worker
+/// that takes it, and calls [`BatchItem::module`] there. A parsed module
+/// weighs its nets and lends itself; an `.mnl` [`mnl::Chunk`] weighs its
+/// statements and parses itself there, so a file's parse spreads over
+/// the workers along with its estimation, and each parsed module lives
+/// and dies on one thread.
+pub trait BatchItem: Send + Sync {
     /// The item's share of a wave and of a shard.
     fn weight(&self) -> usize;
 
@@ -155,6 +161,26 @@ fn plan_shards(weights: &[usize], jobs: usize, cap: usize) -> Vec<std::ops::Rang
         shards.push(start..weights.len());
     }
     shards
+}
+
+/// Pulls one wave from `stream`: items until their weights reach
+/// `budget`, one item minimum — enough to keep every worker at a full
+/// shard, never more. With the next wave queued behind it, this bound is
+/// the RSS bound. Returns the items and their weights.
+fn pull_wave<I>(stream: &mut I, budget: usize) -> (Vec<I::Item>, Vec<usize>)
+where
+    I: Iterator,
+    I::Item: BatchItem,
+{
+    let (mut wave, mut weights, mut total) = (Vec::new(), Vec::new(), 0);
+    while total < budget {
+        let Some(item) = stream.next() else { break };
+        let weight = item.weight();
+        total += weight;
+        weights.push(weight);
+        wave.push(item);
+    }
+    (wave, weights)
 }
 
 /// Outcome of one [`Pipeline::run_all_incremental`] revision: the
@@ -511,56 +537,111 @@ impl Pipeline {
     /// Estimates one batch item on the calling thread: its module (parsed
     /// here, for an unparsed chunk, and dropped here), the record, and the
     /// module's share of the [`StreamSummary`].
-    fn run_item<W: BatchItem>(
-        &self,
-        item: &W,
-    ) -> Result<(EstimateRecord, StreamSummary), NetlistError> {
+    fn run_item<W: BatchItem>(&self, item: &W) -> ItemResult {
         let module = item.module()?;
         let record = self.run_module(&module)?;
         Ok((record, StreamSummary::of(&module)))
     }
 
-    /// The one worker pool: cuts a wave into weight-budget shards
-    /// ([`plan_shards`]) and runs `min(jobs, shards)` scoped threads that
-    /// pull shard indices from a counter, so cheap and expensive items
-    /// interleave while dispatch contention follows the workload rather
-    /// than the item count. Returns the wave's results in stream order.
-    /// Worker spans parent to `batch_id` explicitly — the spawning
-    /// thread's span stack is not visible from inside a worker thread.
-    fn run_shards<W: BatchItem>(
+    /// The one worker pool: `min(jobs, shards of the first wave)` scoped
+    /// threads that live for the whole stream and take weight-budget
+    /// shards ([`plan_shards`]) from one queue, so cheap and expensive
+    /// items interleave while dispatch contention follows the workload
+    /// rather than the item count. The calling thread keeps the next wave
+    /// queued behind the one in flight, and hands each shard's results to
+    /// `emit` in stream order as they come back. No worker waits at a wave
+    /// boundary: one that falls behind — its core taken by other load for
+    /// a while — costs the stream its own share of the time, while the
+    /// others go on with the queued wave. Worker spans parent to
+    /// `batch_id` explicitly — the spawning thread's span stack is not
+    /// visible from inside a worker thread.
+    fn run_pool<W: BatchItem>(
         &self,
-        wave: &[W],
-        weights: &[usize],
+        first: (Vec<W>, Vec<usize>),
+        mut pull: impl FnMut() -> (Vec<W>, Vec<usize>),
         jobs: usize,
         batch_id: u64,
-    ) -> Vec<Result<(EstimateRecord, StreamSummary), NetlistError>> {
-        let shards = plan_shards(weights, jobs, self.shard_net_budget);
-        let next = AtomicUsize::new(0);
-        let mut done: Vec<(usize, Vec<_>)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs.min(shards.len()))
-                .map(|w| {
-                    let (next, shards) = (&next, &shards);
-                    scope.spawn(move || {
-                        if trace::enabled() {
-                            trace::set_thread_label(format!("worker-{w}"));
+        emit: &mut impl FnMut(ItemResult) -> Result<(), NetlistError>,
+    ) -> Result<(), NetlistError> {
+        let workers = jobs.min(plan_shards(&first.1, jobs, self.shard_net_budget).len());
+        let (work_tx, work_rx) = mpsc::channel::<(usize, Vec<W>)>();
+        let work_rx = Mutex::new(work_rx);
+        let (done_tx, done_rx) = mpsc::channel();
+        let stopped = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            // Owned here, so the queue closes however this closure ends.
+            let work_tx = work_tx;
+            for w in 0..workers {
+                let (work_rx, done_tx, stopped) = (&work_rx, done_tx.clone(), &stopped);
+                scope.spawn(move || {
+                    if trace::enabled() {
+                        trace::set_thread_label(format!("worker-{w}"));
+                    }
+                    let _worker = trace::span_under("pipeline.worker", batch_id, String::new);
+                    loop {
+                        // The lock is released before the shard runs.
+                        let next = work_rx.lock().expect("work queue lock").recv();
+                        let Ok((seq, shard)) = next else { break };
+                        if stopped.load(Ordering::Relaxed) {
+                            continue;
                         }
-                        let _worker = trace::span_under("pipeline.worker", batch_id, String::new);
-                        let mut done = Vec::new();
-                        while let Some(shard) = shards.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            let results = shard.clone().map(|i| self.run_item(&wave[i]));
-                            done.push((shard.start, results.collect()));
+                        let results = catch_unwind(AssertUnwindSafe(|| {
+                            shard.iter().map(|item| self.run_item(item)).collect()
+                        }));
+                        drop(shard);
+                        if done_tx.send((seq, results)).is_err() {
+                            break;
                         }
-                        done
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("pipeline worker panicked"))
-                .collect()
-        });
-        done.sort_unstable_by_key(|&(start, _)| start);
-        done.into_iter().flat_map(|(_, results)| results).collect()
+                    }
+                });
+            }
+            drop(done_tx);
+            // Shards are numbered in stream order; `waves` holds the
+            // number past each queued wave's last shard.
+            let (mut queued, mut emitted) = (0, 0);
+            let mut waves = VecDeque::new();
+            let mut back: BTreeMap<usize, std::thread::Result<Vec<ItemResult>>> = BTreeMap::new();
+            let (mut first, mut exhausted) = (Some(first), false);
+            let outcome = loop {
+                while waves.len() < 2 && !exhausted {
+                    let (wave, weights) = first.take().unwrap_or_else(&mut pull);
+                    if wave.is_empty() {
+                        exhausted = true;
+                        break;
+                    }
+                    let mut items = wave.into_iter();
+                    for shard in plan_shards(&weights, jobs, self.shard_net_budget) {
+                        let shard = items.by_ref().take(shard.len()).collect();
+                        work_tx
+                            .send((queued, shard))
+                            .expect("the queue outlives the stream");
+                        queued += 1;
+                    }
+                    waves.push_back(queued);
+                }
+                let Some(end) = waves.pop_front() else {
+                    break Ok(());
+                };
+                let oldest = (emitted..end).try_for_each(|seq| {
+                    let results = loop {
+                        if let Some(results) = back.remove(&seq) {
+                            break results;
+                        }
+                        let (at, results) = done_rx.recv().expect("pipeline worker panicked");
+                        back.insert(at, results);
+                    };
+                    let results = results.unwrap_or_else(|panic| resume_unwind(panic));
+                    results.into_iter().try_for_each(&mut *emit)
+                });
+                emitted = end;
+                if oldest.is_err() {
+                    break oldest;
+                }
+            };
+            // Queued shards of a stopped stream are skipped, not run.
+            stopped.store(true, Ordering::Relaxed);
+            outcome
+        })
     }
 
     /// The batch engine every other batch entry point adapts: estimates a
@@ -571,21 +652,22 @@ impl Pipeline {
     ///
     /// The engine pulls the stream one *wave* at a time — items until
     /// their weights reach `jobs ×` [`DEFAULT_SHARD_NET_BUDGET`] (or the
-    /// [`Pipeline::with_shard_net_budget`] override), one item minimum —
-    /// and estimates the whole wave before pulling the next, so peak
-    /// residency is one wave of items plus its records, regardless of
-    /// how many items the stream yields. A million-device generated chip
-    /// or `.mnl` file estimates to completion in a bounded footprint.
+    /// [`Pipeline::with_shard_net_budget`] override), one item minimum.
+    /// At most two waves are in flight — the one being emitted and the
+    /// next — so peak residency is two waves of items plus their records,
+    /// regardless of how many items the stream yields. A million-device
+    /// generated chip or `.mnl` file estimates to completion in a bounded
+    /// footprint.
     ///
-    /// A wave runs in the calling thread, one item at a time, when
+    /// The stream runs in the calling thread, one item at a time, when
     /// `jobs <= 1`, or when the whole batch is one wave weighing less
     /// than the parallel threshold ([`DEFAULT_PARALLEL_NET_THRESHOLD`]
     /// unless overridden via [`Pipeline::with_parallel_threshold`]) —
     /// thread spawn cost swamps the estimation work on tiny batches.
-    /// Otherwise the wave fans out over the sharded worker pool, which
-    /// hands its records back in stream order. Either way the sink
-    /// observes exactly the serial emission order, and all workers
-    /// memoize into this pipeline's one probability table.
+    /// Otherwise it fans out over the sharded worker pool, which hands
+    /// the records back in stream order. Either way the sink observes
+    /// exactly the serial emission order, and all workers memoize into
+    /// this pipeline's one probability table.
     ///
     /// The `pipeline.run_all` span opens once the first wave is pulled;
     /// its detail reads `serial modules=N` or `jobs=J modules=N shards=S`
@@ -594,8 +676,8 @@ impl Pipeline {
     /// # Errors
     ///
     /// Stops at the first failing item in stream order — a parse error
-    /// or an estimation error alike (later items of an in-flight parallel
-    /// wave may have been estimated speculatively; their records are
+    /// or an estimation error alike (later items of the two waves in
+    /// flight may have been estimated speculatively; their records are
     /// discarded and later waves are never pulled). Errors returned by
     /// the sink propagate the same way.
     pub fn run_all_streaming<I, S>(
@@ -611,20 +693,9 @@ impl Pipeline {
     {
         let wave_budget = jobs.max(1).saturating_mul(self.shard_net_budget);
         let mut stream = items.into_iter().peekable();
-        // Pulls one wave: enough items to keep every worker at a full
-        // shard, never more — this bound is the RSS bound.
-        let mut pull = || {
-            let (mut wave, mut weights, mut wave_weight) = (Vec::new(), Vec::new(), 0);
-            while wave_weight < wave_budget {
-                let Some(item) = stream.next() else { break };
-                let weight = item.weight();
-                wave_weight += weight;
-                weights.push(weight);
-                wave.push(item);
-            }
-            (wave, weights, wave_weight, stream.peek().is_some())
-        };
-        let (mut wave, mut weights, wave_weight, more) = pull();
+        let (mut wave, weights) = pull_wave(&mut stream, wave_budget);
+        let more = stream.peek().is_some();
+        let wave_weight: usize = weights.iter().sum();
         let parallel = jobs > 1 && (more || wave_weight >= self.parallel_net_threshold);
         let batch = trace::span_with("pipeline.run_all", || {
             let modules = format!("modules={}{}", wave.len(), if more { "+" } else { "" });
@@ -637,28 +708,27 @@ impl Pipeline {
         });
         let before = self.prob_snapshot();
         let mut summary = StreamSummary::default();
-        let mut emit = |result: Result<(EstimateRecord, StreamSummary), NetlistError>| {
+        let mut emit = |result: ItemResult| {
             let (record, one) = result?;
             summary.add(one);
             sink(record)
         };
-        let outcome = loop {
-            if wave.is_empty() {
-                break Ok(());
+        let outcome = if parallel {
+            let pull = || pull_wave(&mut stream, wave_budget);
+            self.run_pool((wave, weights), pull, jobs, batch.id(), &mut emit)
+        } else {
+            loop {
+                if wave.is_empty() {
+                    break Ok(());
+                }
+                let emitted = wave.iter().try_for_each(|item| emit(self.run_item(item)));
+                if emitted.is_err() {
+                    break emitted;
+                }
+                // Release this wave before pulling the next.
+                drop(wave);
+                (wave, _) = pull_wave(&mut stream, wave_budget);
             }
-            let emitted = if parallel {
-                self.run_shards(&wave, &weights, jobs, batch.id())
-                    .into_iter()
-                    .try_for_each(&mut emit)
-            } else {
-                wave.iter().try_for_each(|item| emit(self.run_item(item)))
-            };
-            if emitted.is_err() {
-                break emitted;
-            }
-            // Release this wave before pulling the next.
-            drop(wave);
-            (wave, weights, _, _) = pull();
         };
         self.emit_prob_delta(before);
         outcome.map(|()| summary)
@@ -1033,6 +1103,69 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("sink full"));
         assert_eq!(seen, 2, "no records after the sink error");
+    }
+
+    /// A module, or an item whose parse panics.
+    enum Risky {
+        Fine(Box<Module>),
+        Panics,
+    }
+
+    impl BatchItem for Risky {
+        fn weight(&self) -> usize {
+            match self {
+                Risky::Fine(m) => m.net_count(),
+                Risky::Panics => 1,
+            }
+        }
+
+        fn module(&self) -> Result<Cow<'_, Module>, NetlistError> {
+            match self {
+                Risky::Fine(m) => Ok(Cow::Borrowed(m)),
+                Risky::Panics => panic!("the item panicked"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_pool_stops_at_a_sink_error_across_waves() {
+        // Budget 8: every counter is a wave of its own, so the error
+        // lands while the next waves are queued.
+        let p = Pipeline::new(builtin::nmos25()).with_shard_net_budget(8);
+        let modules: Vec<_> = (2..20).map(generate::counter).collect();
+        let mut names = Vec::new();
+        let err = p
+            .run_all_streaming(modules.iter(), 2, |rec| {
+                names.push(rec.module_name);
+                if names.len() == 5 {
+                    Err(NetlistError::invalid("sink full"))
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+        assert!(err.to_string().contains("sink full"));
+        let first: Vec<&str> = modules[..5].iter().map(Module::name).collect();
+        assert_eq!(names, first, "records in order, none after the error");
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller_after_the_records_before_it() {
+        let p = Pipeline::new(builtin::nmos25()).with_shard_net_budget(8);
+        let mut items: Vec<_> = (2..20)
+            .map(|n| Risky::Fine(Box::new(generate::counter(n))))
+            .collect();
+        items.insert(6, Risky::Panics);
+        let mut seen = 0;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            p.run_all_streaming(items.iter(), 2, |_| {
+                seen += 1;
+                Ok(())
+            })
+        }));
+        let panic = outcome.expect_err("the panic reaches the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"the item panicked"));
+        assert_eq!(seen, 6, "the records before the panicking item");
     }
 
     #[test]

@@ -96,6 +96,38 @@ pub fn check_aspect_limit(what: &str, limit: f64) -> Result<f64, String> {
     }
 }
 
+/// Checks a standard-cell row count: `1..=`[`MAX_ROWS`], the range the
+/// row-probability tables cover. Every front end that accepts a count
+/// (the request codec's `rows` field, the CLI's `--rows` flag) checks it
+/// here, naming itself as `what` in the error.
+///
+/// # Errors
+///
+/// Returns the range and the offending value outside it.
+pub fn check_rows(what: &str, rows: u32) -> Result<u32, String> {
+    if (1..=MAX_ROWS).contains(&rows) {
+        Ok(rows)
+    } else {
+        Err(format!("{what} must be in 1..={MAX_ROWS}, got {rows}"))
+    }
+}
+
+/// Checks a thread fan-out — batch `jobs` or annealing `replicas`:
+/// `1..=`[`MAX_FANOUT`]. The request codec and the CLI's `--jobs` and
+/// `--replicas` flags check it here, naming themselves as `what`, so no
+/// front end starts more threads than the bound.
+///
+/// # Errors
+///
+/// Returns the range and the offending value outside it.
+pub fn check_fanout(what: &str, n: u32) -> Result<u32, String> {
+    if (1..=MAX_FANOUT).contains(&n) {
+        Ok(n)
+    } else {
+        Err(format!("{what} must be in 1..={MAX_FANOUT}, got {n}"))
+    }
+}
+
 /// One protocol request: a client-chosen correlation id plus the call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
@@ -594,13 +626,7 @@ fn parse_rows(fields: &[(String, Value)]) -> Result<Option<u32>, String> {
                 .as_u64()
                 .and_then(|n| u32::try_from(n).ok())
                 .ok_or("field `rows` must be a non-negative integer")?;
-            if (1..=MAX_ROWS).contains(&rows) {
-                Ok(Some(rows))
-            } else {
-                Err(format!(
-                    "field `rows` must be in 1..={MAX_ROWS}, got {rows}"
-                ))
-            }
+            check_rows("field `rows`", rows).map(Some)
         }
     }
 }
@@ -613,13 +639,7 @@ fn parse_fanout(fields: &[(String, Value)], key: &str) -> Result<u32, String> {
                 .as_u64()
                 .and_then(|n| u32::try_from(n).ok())
                 .ok_or_else(|| format!("field `{key}` must be a non-negative integer"))?;
-            if (1..=MAX_FANOUT).contains(&n) {
-                Ok(n)
-            } else {
-                Err(format!(
-                    "field `{key}` must be in 1..={MAX_FANOUT}, got {n}"
-                ))
-            }
+            check_fanout(&format!("field `{key}`"), n)
         }
     }
 }
@@ -649,6 +669,34 @@ fn parse_aspect(fields: &[(String, Value)]) -> Result<Option<f64>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn row_and_fanout_checks_accept_exactly_their_ranges() {
+        for (n, ok) in [
+            (0, false),
+            (1, true),
+            (MAX_ROWS, true),
+            (MAX_ROWS + 1, false),
+        ] {
+            assert_eq!(check_rows("--rows", n).is_ok(), ok, "{n} rows");
+        }
+        assert_eq!(
+            check_rows("--rows", MAX_ROWS + 1).unwrap_err(),
+            "--rows must be in 1..=64, got 65"
+        );
+        for (n, ok) in [
+            (0, false),
+            (1, true),
+            (MAX_FANOUT, true),
+            (MAX_FANOUT + 1, false),
+        ] {
+            assert_eq!(check_fanout("--jobs", n).is_ok(), ok, "{n} jobs");
+        }
+        assert_eq!(
+            check_fanout("field `replicas`", 0).unwrap_err(),
+            "field `replicas` must be in 1..=1024, got 0"
+        );
+    }
 
     fn estimate_request() -> Request {
         Request {

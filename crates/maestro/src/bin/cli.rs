@@ -20,7 +20,7 @@ use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use maestro::estimator::pipeline::Pipeline;
-use maestro::estimator::request::check_aspect_limit;
+use maestro::estimator::request::{check_aspect_limit, check_fanout, check_rows};
 use maestro::estimator::standard_cell::ScParams;
 use maestro::netlist::chip;
 use maestro::netlist::RevisionManifest;
@@ -103,7 +103,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--rows" => {
                 let v = it.next().ok_or("--rows needs a value")?;
-                opts.rows = Some(v.parse().map_err(|_| format!("bad row count `{v}`"))?);
+                let rows = v.parse().map_err(|_| format!("bad row count `{v}`"))?;
+                opts.rows = Some(check_rows("--rows", rows)?);
             }
             "--aspect" => {
                 let v = it.next().ok_or("--aspect needs a value")?;
@@ -112,19 +113,13 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
-                let jobs: usize = v.parse().map_err(|_| format!("bad job count `{v}`"))?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".to_owned());
-                }
-                opts.jobs = jobs;
+                let jobs = v.parse().map_err(|_| format!("bad job count `{v}`"))?;
+                opts.jobs = check_fanout("--jobs", jobs)? as usize;
             }
             "--replicas" => {
                 let v = it.next().ok_or("--replicas needs a value")?;
-                let replicas: usize = v.parse().map_err(|_| format!("bad replica count `{v}`"))?;
-                if replicas == 0 {
-                    return Err("--replicas must be at least 1".to_owned());
-                }
-                opts.replicas = replicas;
+                let replicas = v.parse().map_err(|_| format!("bad replica count `{v}`"))?;
+                opts.replicas = check_fanout("--replicas", replicas)? as usize;
             }
             "--generate" => {
                 opts.generate.push(
@@ -239,11 +234,14 @@ fn cmd_estimate(opts: &Options, out: &mut impl Write) -> Result<(), CommandError
             .iter()
             .map(|file| ops::SchematicFile::read(file))
             .collect::<Result<Vec<_>, _>>()?;
-        let items = files.iter().flat_map(ops::SchematicFile::modules).chain(
-            specs
+        let items =
+            files
                 .iter()
-                .flat_map(|spec| spec.modules().map(|m| ops::StreamItem::Parsed(Ok(m)))),
-        );
+                .flat_map(ops::SchematicFile::modules)
+                .chain(specs.iter().flat_map(|spec| {
+                    spec.modules()
+                        .map(|m| ops::StreamItem::Parsed(Ok(Box::new(m))))
+                }));
         let summary = ops::estimate_stream(&pipeline, items, opts.jobs, opts.json, out)?;
         let elapsed = started.elapsed().as_secs_f64();
         if maestro::trace::enabled() {

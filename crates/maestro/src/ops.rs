@@ -102,7 +102,11 @@ impl SchematicFile {
     pub fn modules(&self) -> Box<dyn Iterator<Item = StreamItem<'_>> + '_> {
         if self.spice {
             Box::new(std::iter::once_with(move || {
-                StreamItem::Parsed(spice::parse(&self.source).map_err(|e| self.locate(e)))
+                StreamItem::Parsed(
+                    spice::parse(&self.source)
+                        .map(Box::new)
+                        .map_err(|e| self.locate(e)),
+                )
             }))
         } else {
             Box::new(
@@ -124,8 +128,9 @@ pub enum StreamItem<'a> {
     /// reads `FILE: line N: …`.
     Chunk(&'a str, mnl::Chunk<'a>),
     /// A module parsed up front (a SPICE deck, a generated chip module),
-    /// or the error its parse hit, reported in its place.
-    Parsed(Result<Module, NetlistError>),
+    /// or the error its parse hit, reported in its place. Boxed, so a
+    /// queued chunk stays small.
+    Parsed(Result<Box<Module>, NetlistError>),
 }
 
 impl BatchItem for StreamItem<'_> {

@@ -30,76 +30,29 @@ use std::sync::{Arc, OnceLock};
 
 use maestro_tech::ProcessDb;
 
-use crate::memo::{content_hash128, BoundedMemo, CacheStats, MemoCounters};
+use crate::memo::{BoundedMemo, CacheStats, MemoCounters};
 use crate::{LayoutStyle, Module, NetlistError, NetlistStats};
 
 /// A 128-bit content fingerprint of a [`Module`].
 ///
 /// Covers everything `NetlistStats::resolve` can observe — the module
-/// name, every device (name, template, pin bindings), every net (name,
-/// attached pins and ports) and every port (name, direction, net) — in a
-/// canonical length-prefixed byte encoding hashed with
-/// [`content_hash128`], so *any* mutation that could change resolution
-/// output changes the fingerprint. The converse is deliberately not
-/// guaranteed: two modules that differ only in, say, declaration order
-/// get distinct fingerprints even though their stats may coincide.
-/// Over-separation only costs a duplicate cache entry; under-separation
-/// would serve wrong answers.
+/// name, every device (name, template, pin bindings), every net name and
+/// every port (direction, net) — by hashing the module's flat arrays and
+/// name arenas in place, each length-prefixed by [`crate::content_hash128`], so
+/// *any* mutation that could change resolution output changes the
+/// fingerprint. The arrays are filled in id order, so the fingerprint is
+/// a function of the content alone, not of how the builder's calls were
+/// interleaved. The converse is deliberately not guaranteed: two modules
+/// that differ only in, say, declaration order get distinct fingerprints
+/// even though their stats may coincide. Over-separation only costs a
+/// duplicate cache entry; under-separation would serve wrong answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModuleFingerprint(u128);
-
-/// The canonical byte encoding a fingerprint hashes.
-#[derive(Default)]
-struct Encoding(Vec<u8>);
-
-impl Encoding {
-    /// Length-prefixed string: `"ab" + "c"` and `"a" + "bc"` must encode
-    /// differently.
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.0.extend_from_slice(s.as_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-}
 
 impl ModuleFingerprint {
     /// Fingerprints a module's full content.
     pub fn of(module: &Module) -> Self {
-        let mut h = Encoding::default();
-        h.str(module.name());
-        h.u64(module.port_count() as u64);
-        for (_, port) in module.ports() {
-            h.str(port.name());
-            h.u64(port.direction() as u64);
-            h.u64(port.net().index() as u64);
-        }
-        h.u64(module.device_count() as u64);
-        for (_, device) in module.devices() {
-            h.str(device.name());
-            h.str(device.template());
-            h.u64(device.pins().len() as u64);
-            for (pin, net) in device.pins() {
-                h.str(pin);
-                h.u64(net.index() as u64);
-            }
-        }
-        h.u64(module.net_count() as u64);
-        for (_, net) in module.nets() {
-            h.str(net.name());
-            h.u64(net.pins().len() as u64);
-            for pin in net.pins() {
-                h.u64(pin.device.index() as u64);
-                h.str(&pin.pin);
-            }
-            h.u64(net.ports().len() as u64);
-            for port in net.ports() {
-                h.u64(port.index() as u64);
-            }
-        }
-        ModuleFingerprint(content_hash128(&h.0))
+        ModuleFingerprint(module.content_hash())
     }
 }
 

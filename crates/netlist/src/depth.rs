@@ -71,7 +71,7 @@ pub fn logic_depth(module: &Module) -> Result<DepthReport, NetlistError> {
     let mut readers: BTreeMap<NetId, Vec<usize>> = BTreeMap::new();
     for (id, dev) in module.devices() {
         for (pin, net) in dev.pins() {
-            if is_output_pin(pin) {
+            if is_output_pin(&pin) {
                 drivers.entry(*net).or_default().push(id.index());
             } else {
                 readers.entry(*net).or_default().push(id.index());
@@ -243,13 +243,13 @@ mod tests {
                 .pins()
                 .iter()
                 .filter(|(p, _)| super::is_output_pin(p))
-                .map(|&(_, n)| n)
+                .map(|(_, &n)| n)
                 .collect();
             let connected = m
                 .device(b2)
                 .pins()
                 .iter()
-                .any(|(p, n)| !super::is_output_pin(p) && a_outs.contains(n));
+                .any(|(p, n)| !super::is_output_pin(&p) && a_outs.contains(n));
             assert!(connected, "{a} -> {b2} not connected");
         }
     }

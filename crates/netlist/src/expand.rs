@@ -74,7 +74,7 @@ impl Expander {
     }
 }
 
-fn require_pin(dev: &crate::Device, pin: &str) -> Result<NetId, NetlistError> {
+fn require_pin(dev: crate::Device<'_>, pin: &str) -> Result<NetId, NetlistError> {
     dev.pin_net(pin).ok_or_else(|| {
         NetlistError::invalid(format!(
             "device `{}` ({}) lacks pin `{pin}` required for expansion",
@@ -111,12 +111,12 @@ pub fn to_nmos_transistors(module: &Module) -> Result<Module, NetlistError> {
     };
     // Recreate ports (ports imply nets of the same name).
     for (_, port) in module.ports() {
-        ex.b.port(port.name().to_owned(), port.direction());
+        ex.b.port(port.name(), port.direction());
     }
     // Recreate all remaining nets by name so ids can be remapped.
     let mut remap: Vec<NetId> = Vec::with_capacity(module.net_count());
     for (_, net) in module.nets() {
-        remap.push(ex.b.net(net.name().to_owned()));
+        remap.push(ex.b.net(net.name()));
     }
     let m = |n: NetId| remap[n.index()];
 

@@ -27,6 +27,13 @@ macro_rules! arena_id {
             }
         }
 
+        impl From<$name> for u32 {
+            #[inline]
+            fn from(id: $name) -> u32 {
+                id.0
+            }
+        }
+
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 write!(f, concat!($prefix, "{}"), self.0)

@@ -64,5 +64,5 @@ pub use diff::{diff, NetlistDiff, RevisionManifest};
 pub use error::{NetlistError, ParseErrorKind};
 pub use ids::{DeviceId, NetId, PortId};
 pub use memo::{content_hash128, BoundedMemo, CacheStats, MemoCounters};
-pub use module::{Device, Module, ModuleBuilder, Net, PinRef, Port, PortDirection};
+pub use module::{Device, Module, ModuleBuilder, Net, PinIter, PinName, Pins, Port, PortDirection};
 pub use stats::{LayoutStyle, NetSizeHistogram, NetlistStats, WidthHistogram};

@@ -30,21 +30,59 @@ use maestro_trace as trace;
 /// assert_ne!(content_hash128(b"ab"), content_hash128(b"ab\0"));
 /// ```
 pub fn content_hash128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013B;
-    let mut h = OFFSET ^ (bytes.len() as u128).wrapping_mul(PRIME);
+    let mut h = Fold::new(bytes.len());
     let mut words = bytes.chunks_exact(16);
     for word in &mut words {
-        let word = u128::from_le_bytes(word.try_into().expect("exact chunk"));
-        h = (h ^ word).wrapping_mul(PRIME);
+        h.word(u128::from_le_bytes(word.try_into().expect("exact chunk")));
     }
     let tail = words.remainder();
     if !tail.is_empty() {
         let mut padded = [0u8; 16];
         padded[..tail.len()].copy_from_slice(tail);
-        h = (h ^ u128::from_le_bytes(padded)).wrapping_mul(PRIME);
+        h.word(u128::from_le_bytes(padded));
     }
-    (h ^ (h >> 64)).wrapping_mul(PRIME)
+    h.finish()
+}
+
+/// [`content_hash128`] of the values' little-endian bytes, folded four
+/// values to a word without writing the bytes out: the module
+/// fingerprint hashes its `u32` arrays this way.
+pub(crate) fn content_hash128_u32(values: impl ExactSizeIterator<Item = u32>) -> u128 {
+    let mut h = Fold::new(4 * values.len());
+    let (mut word, mut filled) = (0u128, 0);
+    for v in values {
+        word |= u128::from(v) << (32 * filled);
+        filled += 1;
+        if filled == 4 {
+            h.word(word);
+            (word, filled) = (0, 0);
+        }
+    }
+    if filled > 0 {
+        h.word(word);
+    }
+    h.finish()
+}
+
+/// The state of [`content_hash128`]: the length up front, then one
+/// multiply per 16-byte word.
+struct Fold(u128);
+
+impl Fold {
+    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
+    const PRIME: u128 = 0x0000000001000000000000000000013B;
+
+    fn new(len: usize) -> Self {
+        Fold(Self::OFFSET ^ (len as u128).wrapping_mul(Self::PRIME))
+    }
+
+    fn word(&mut self, word: u128) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::PRIME);
+    }
+
+    fn finish(self) -> u128 {
+        (self.0 ^ (self.0 >> 64)).wrapping_mul(Self::PRIME)
+    }
 }
 
 /// Counter snapshot of a memo.
@@ -325,6 +363,19 @@ mod tests {
             content_hash128(b"module inv\n  port a in\nendmodule\n"),
             0x92c0bf08e1a26c4fcca7e80911454463
         );
+    }
+
+    #[test]
+    fn the_u32_fold_equals_the_hash_of_the_little_endian_bytes() {
+        for n in [0usize, 1, 3, 4, 5, 8, 13] {
+            let values: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+            let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+            assert_eq!(
+                content_hash128_u32(values.iter().copied()),
+                content_hash128(&bytes),
+                "{n} values"
+            );
+        }
     }
 
     #[test]

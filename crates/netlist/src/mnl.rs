@@ -27,8 +27,7 @@ use std::iter::FusedIterator;
 
 use maestro_trace as trace;
 
-use crate::module::PinNames;
-use crate::{Module, ModuleBuilder, NetId, NetlistError, ParseErrorKind, PortDirection};
+use crate::{Module, ModuleBuilder, NetlistError, ParseErrorKind, PortDirection};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Token<'a> {
@@ -536,14 +535,12 @@ fn parse_module(t: &mut Tokens<'_>) -> Result<(Module, usize), NetlistError> {
     let (module_name, _) = t.expect_ident("module name")?;
     t.expect(Token::Semi, "`;`")?;
 
+    // The builder's name indexes are the duplicate checks: each step
+    // runs as its statement is read, so the first error in the source
+    // wins.
     let mut b = ModuleBuilder::new(module_name);
-    let mut declared_ports: HashSet<&str> = HashSet::new();
-    let mut declared_devices: HashSet<&str> = HashSet::new();
     // Per-statement scratch, reused across the module's statements.
     let mut names: Vec<(&str, usize)> = Vec::new();
-    let mut bindings: Vec<(&str, &str)> = Vec::new();
-    let mut bound = PinNames::default();
-    let mut pins: Vec<(&str, NetId)> = Vec::new();
 
     loop {
         let (kw, line) = t.expect_ident("a statement keyword")?;
@@ -557,48 +554,33 @@ fn parse_module(t: &mut Tokens<'_>) -> Result<(Module, usize), NetlistError> {
                 };
                 t.name_list(&mut names)?;
                 for &(name, line) in &names {
-                    if !declared_ports.insert(name) {
-                        return Err(NetlistError::parse(
-                            ParseErrorKind::DuplicateName,
-                            line,
-                            format!("port `{name}` declared twice"),
-                        ));
-                    }
-                    b.port(name, dir);
+                    b.add_port(name, dir)
+                        .map_err(|r| r.at(line, || format!("port `{name}` declared twice")))?;
                 }
             }
             "net" => {
                 t.name_list(&mut names)?;
-                for &(name, _) in &names {
-                    b.net(name);
+                for &(name, line) in &names {
+                    b.add_net(name).map_err(|r| r.at(line, String::new))?;
                 }
             }
             "device" => {
                 let (inst, line) = t.expect_ident("device instance name")?;
-                if !declared_devices.insert(inst) {
-                    return Err(NetlistError::parse(
-                        ParseErrorKind::DuplicateName,
-                        line,
-                        format!("device `{inst}` declared twice"),
-                    ));
-                }
-                let (template, _) = t.expect_ident("device template name")?;
+                b.add_device(inst)
+                    .map_err(|r| r.at(line, || format!("device `{inst}` declared twice")))?;
+                let (template, line) = t.expect_ident("device template name")?;
+                b.set_template(template)
+                    .map_err(|r| r.at(line, String::new))?;
                 t.expect(Token::LParen, "`(`")?;
-                bindings.clear();
-                bound.clear();
                 if !matches!(t.peek()?, Some((Token::RParen, _))) {
                     loop {
                         let (pin, line) = t.expect_ident("pin name")?;
                         t.expect(Token::Equals, "`=`")?;
                         let (net, _) = t.expect_ident("net name")?;
-                        if !bound.insert(pin) {
-                            return Err(NetlistError::parse(
-                                ParseErrorKind::DuplicateName,
-                                line,
-                                format!("pin `{pin}` bound twice on `{inst}`"),
-                            ));
-                        }
-                        bindings.push((pin, net));
+                        let net = b.add_net(net).map_err(|r| r.at(line, String::new))?;
+                        b.bind(pin, net).map_err(|r| {
+                            r.at(line, || format!("pin `{pin}` bound twice on `{inst}`"))
+                        })?;
                         if !t.eat(Token::Comma)? {
                             break;
                         }
@@ -606,9 +588,6 @@ fn parse_module(t: &mut Tokens<'_>) -> Result<(Module, usize), NetlistError> {
                 }
                 t.expect(Token::RParen, "`)`")?;
                 t.expect(Token::Semi, "`;`")?;
-                pins.clear();
-                pins.extend(bindings.iter().map(|&(pin, net)| (pin, b.net(net))));
-                b.device(inst, template, pins.iter().copied());
             }
             other => {
                 return Err(NetlistError::parse(
@@ -624,8 +603,13 @@ fn parse_module(t: &mut Tokens<'_>) -> Result<(Module, usize), NetlistError> {
 
 /// Serializes a module back to `.mnl` text.
 ///
-/// The output parses back to a structurally identical module (same device,
-/// net and port order), which the round-trip tests rely on.
+/// The text lists the ports grouped by direction (inputs, outputs, then
+/// inouts), then the internal nets, then the devices. Parsing it back
+/// keeps the device order and every binding, and the port order within
+/// each direction, and the parsed module prints the same text again. It
+/// is not always `==` to the original: ports of different directions
+/// that interleave, or a net created before a port, come back in the
+/// text's order, with other port and net ids.
 pub fn to_mnl(module: &Module) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "module {};", module.name());

@@ -25,7 +25,7 @@
 //! Subcircuit ports become module ports (direction [`PortDirection::InOut`]
 //! — SPICE carries no direction).
 
-use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
 use crate::{Module, ModuleBuilder, NetId, NetlistError, ParseErrorKind, PortDirection};
 
@@ -41,7 +41,7 @@ fn is_supply(name: &str) -> bool {
 /// # Errors
 ///
 /// Returns [`NetlistError::Parse`] on malformed cards, a missing
-/// `.subckt`/`.ends` pair, or duplicate instance names.
+/// `.subckt`/`.ends` pair, or duplicate port or instance names.
 ///
 /// # Examples
 ///
@@ -62,7 +62,9 @@ fn is_supply(name: &str) -> bool {
 pub fn parse(deck: &str) -> Result<Module, NetlistError> {
     let mut builder: Option<ModuleBuilder> = None;
     let mut finished = false;
-    let mut instance_names: BTreeSet<String> = BTreeSet::new();
+    // Scratch for a device's distinct nets and an `X` card's pin names.
+    let mut nets: Vec<NetId> = Vec::new();
+    let mut positional = String::new();
 
     for (lineno, raw) in deck.lines().enumerate() {
         let line_no = lineno + 1;
@@ -88,12 +90,13 @@ pub fn parse(deck: &str) -> Result<Module, NetlistError> {
                     ".subckt needs a name",
                 ));
             }
-            let mut b = ModuleBuilder::new(fields[1].to_owned());
-            for port in &fields[2..] {
+            let mut b = ModuleBuilder::new(fields[1]);
+            for &port in &fields[2..] {
                 if is_supply(port) {
                     continue;
                 }
-                b.port((*port).to_owned(), PortDirection::InOut);
+                b.add_port(port, PortDirection::InOut)
+                    .map_err(|r| r.at(line_no, || format!("port `{port}` declared twice")))?;
             }
             builder = Some(b);
             continue;
@@ -141,44 +144,25 @@ pub fn parse(deck: &str) -> Result<Module, NetlistError> {
                     ));
                 }
                 let name = fields[0];
-                if !instance_names.insert(name.to_owned()) {
-                    return Err(NetlistError::parse(
-                        ParseErrorKind::DuplicateName,
-                        line_no,
-                        format!("transistor `{name}` declared twice"),
-                    ));
-                }
-                let model = fields[5];
-                let pin_names = ["d", "g", "s", "b"];
-                let mut pins: Vec<(String, NetId)> = Vec::new();
-                for (i, net) in fields[1..5].iter().enumerate() {
-                    if is_supply(net) {
-                        continue;
-                    }
-                    let id = b.net(*net);
-                    pins.push((pin_names[i].to_owned(), id));
-                }
+                b.add_device(name)
+                    .map_err(|r| r.at(line_no, || format!("transistor `{name}` declared twice")))?;
+                b.set_template(fields[5])
+                    .map_err(|r| r.at(line_no, String::new))?;
                 // A device may touch the same net through two terminals
                 // (e.g. diode-connected load): keep one pin per net to
                 // respect the builder's pin-uniqueness (component counting
                 // dedups anyway).
-                let mut seen: Vec<NetId> = Vec::new();
-                let deduped: Vec<(String, NetId)> = pins
-                    .into_iter()
-                    .filter(|(_, n)| {
-                        if seen.contains(n) {
-                            false
-                        } else {
-                            seen.push(*n);
-                            true
-                        }
-                    })
-                    .collect();
-                b.device(
-                    name.to_owned(),
-                    model.to_owned(),
-                    deduped.iter().map(|(p, n)| (p.as_str(), *n)),
-                );
+                nets.clear();
+                for (pin, &net) in ["d", "g", "s", "b"].into_iter().zip(&fields[1..5]) {
+                    if is_supply(net) {
+                        continue;
+                    }
+                    let net = b.add_net(net).map_err(|r| r.at(line_no, String::new))?;
+                    if !nets.contains(&net) {
+                        nets.push(net);
+                        b.bind(pin, net).map_err(|r| r.at(line_no, String::new))?;
+                    }
+                }
             }
             Some('x') => {
                 // X<name> net... cell
@@ -190,28 +174,20 @@ pub fn parse(deck: &str) -> Result<Module, NetlistError> {
                     ));
                 }
                 let name = fields[0];
-                if !instance_names.insert(name.to_owned()) {
-                    return Err(NetlistError::parse(
-                        ParseErrorKind::DuplicateName,
-                        line_no,
-                        format!("instance `{name}` declared twice"),
-                    ));
-                }
-                let cell = fields[fields.len() - 1];
-                let nets = &fields[1..fields.len() - 1];
-                let mut pins: Vec<(String, NetId)> = Vec::new();
-                for (i, net) in nets.iter().enumerate() {
+                b.add_device(name)
+                    .map_err(|r| r.at(line_no, || format!("instance `{name}` declared twice")))?;
+                b.set_template(fields[fields.len() - 1])
+                    .map_err(|r| r.at(line_no, String::new))?;
+                for (i, &net) in fields[1..fields.len() - 1].iter().enumerate() {
                     if is_supply(net) {
                         continue;
                     }
-                    let id = b.net(*net);
-                    pins.push((format!("p{}", i + 1), id));
+                    let net = b.add_net(net).map_err(|r| r.at(line_no, String::new))?;
+                    positional.clear();
+                    let _ = write!(positional, "p{}", i + 1);
+                    b.bind(&positional, net)
+                        .map_err(|r| r.at(line_no, String::new))?;
                 }
-                b.device(
-                    name.to_owned(),
-                    cell.to_owned(),
-                    pins.iter().map(|(p, n)| (p.as_str(), *n)),
-                );
             }
             _ => {
                 return Err(NetlistError::parse(
@@ -246,7 +222,6 @@ pub fn parse(deck: &str) -> Result<Module, NetlistError> {
 /// output parses back to a module with the same device, signal-net and
 /// port structure.
 pub fn to_spice(module: &Module) -> String {
-    use std::fmt::Write as _;
     let mut s = String::new();
     let _ = writeln!(s, "* generated by maestro from `{}`", module.name());
     let ports: Vec<&str> = module.ports().map(|(_, p)| p.name()).collect();
@@ -275,7 +250,7 @@ pub fn to_spice(module: &Module) -> String {
             let nets: Vec<String> = dev
                 .pins()
                 .iter()
-                .map(|&(_, n)| module.net(n).name().to_owned())
+                .map(|(_, &n)| module.net(n).name().to_owned())
                 .collect();
             let _ = writeln!(s, "X{} {} {}", dev.name(), nets.join(" "), dev.template());
         }
@@ -352,6 +327,17 @@ X2 t t y NAND2
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn error_on_repeated_subckt_port() {
+        let err = parse("* inverter\n.subckt inv a a y\nM1 y a gnd gnd pd\n.ends").unwrap_err();
+        assert_eq!(
+            err,
+            NetlistError::parse(ParseErrorKind::DuplicateName, 2, "port `a` declared twice")
+        );
+        // Supply names are dropped before the check: repeating one is fine.
+        assert!(parse(".subckt inv vdd a vdd\nM1 vdd a gnd gnd pd\n.ends").is_ok());
     }
 
     #[test]

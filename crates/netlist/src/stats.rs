@@ -209,26 +209,28 @@ impl NetlistStats {
         let mut total_device_area = LambdaArea::ZERO;
         // Per-device resolved width, for per-net totals.
         let mut device_widths: Vec<Lambda> = Vec::with_capacity(module.device_count());
+        // Each template is looked up once, at its first device: the
+        // module interns templates as symbols.
+        let mut sizes: Vec<Option<(Lambda, Lambda)>> = vec![None; module.symbol_count()];
 
-        for (_, dev) in module.devices() {
-            let (w, h) = match style {
-                LayoutStyle::StandardCell => {
-                    let cell = tech.cell_library().cell(dev.template()).ok_or_else(|| {
-                        NetlistError::UnknownTemplate {
-                            device: dev.name().to_owned(),
-                            template: dev.template().to_owned(),
+        for ((_, dev), &symbol) in module.devices().zip(module.template_symbols()) {
+            let size = &mut sizes[symbol as usize];
+            let (w, h) = match *size {
+                Some(known) => known,
+                None => {
+                    let found = match style {
+                        LayoutStyle::StandardCell => tech
+                            .cell_library()
+                            .cell(dev.template())
+                            .map(|cell| (cell.width(), cell.height())),
+                        LayoutStyle::FullCustom => {
+                            tech.device(dev.template()).map(|d| (d.width(), d.height()))
                         }
-                    })?;
-                    (cell.width(), cell.height())
-                }
-                LayoutStyle::FullCustom => {
-                    let d = tech.device(dev.template()).ok_or_else(|| {
-                        NetlistError::UnknownTemplate {
-                            device: dev.name().to_owned(),
-                            template: dev.template().to_owned(),
-                        }
-                    })?;
-                    (d.width(), d.height())
+                    };
+                    *size.insert(found.ok_or_else(|| NetlistError::UnknownTemplate {
+                        device: dev.name().to_owned(),
+                        template: dev.template().to_owned(),
+                    })?)
                 }
             };
             widths.add(w);

@@ -81,7 +81,7 @@ pub fn check(
                 })?;
                 for (pin, _) in dev.pins() {
                     // SPICE-derived positional pins (p1, p2, …) are allowed.
-                    if !pin.starts_with('p') && cell.pin(pin).is_none() {
+                    if !pin.starts_with('p') && cell.pin(&pin).is_none() {
                         return Err(NetlistError::invalid(format!(
                             "device `{}`: cell `{}` has no pin `{pin}`",
                             dev.name(),

@@ -48,7 +48,7 @@ fn mutate_one(module: &Module, kind: u8) -> Module {
                         } else {
                             m(*n)
                         };
-                        (p.clone(), net)
+                        (p.to_string(), net)
                     })
                     .collect();
                 b.device(

@@ -685,15 +685,15 @@ fn place_with(
             continue;
         }
         let mut pins = Vec::new();
-        for pin in net.pins() {
-            let dev = module.device(pin.device);
-            let (row, base_x) = device_pos[pin.device.index()];
+        for (device, pin) in net.pins() {
+            let dev = module.device(device);
+            let (row, base_x) = device_pos[device.index()];
             let cell = tech
                 .cell_library()
                 .cell(dev.template())
                 .expect("resolved above");
             let offset = cell
-                .pin_location(&pin.pin)
+                .pin_location(pin)
                 .map(|p: Point| p.x)
                 .unwrap_or(cell.width() / 2);
             pins.push((row, base_x + offset));

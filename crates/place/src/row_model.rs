@@ -25,7 +25,7 @@ pub fn one_row_order(module: &Module) -> Vec<DeviceId> {
                 .device(DeviceId::new(i as u32))
                 .pins()
                 .iter()
-                .map(|&(_, net)| net.index() as u32)
+                .map(|(_, net)| net.index() as u32)
                 .collect()
         })
         .collect();
@@ -149,13 +149,13 @@ mod tests {
                 .device(w[0])
                 .pins()
                 .iter()
-                .map(|&(_, n)| n.index() as u32)
+                .map(|(_, n)| n.index() as u32)
                 .collect();
             let shares = m
                 .device(w[1])
                 .pins()
                 .iter()
-                .any(|&(_, n)| a.contains(&(n.index() as u32)));
+                .any(|(_, n)| a.contains(&(n.index() as u32)));
             if shares {
                 adjacent_shared += 1;
             }

@@ -1,0 +1,170 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of one benchmark workload: the pairs
+# protocol behind every "claimed gain" in EXPERIMENTS.md. Run it from
+# anywhere in the repository:
+#
+#   scripts/bench_pairs.sh PARENT_REV WORKLOAD FIRST_SEED LAST_SEED
+#
+# PARENT_REV is checked out in a git worktree under .bench_pairs/ and
+# built there with its own target dir; the working tree is the change.
+# For each seed N from FIRST_SEED to LAST_SEED both sides run
+#
+#   bash perfbench/run.sh --workload WORKLOAD --seed N --seconds S --trace 0
+#
+# with S the run_seconds of BENCHMARK.json: the parent first on odd
+# seeds, the change first on even ones. Every JSON result line is kept
+# in .bench_pairs/WORKLOAD-seeds-FIRST-LAST.tsv (side, seed, line). Then,
+# for each end-to-end metric of BENCHMARK.json, the script prints the
+# per-pair values, each side's median and quartiles (linear
+# interpolation), the pairs the change won (ties count for neither) and
+# whether the median gain exceeds the parent's quartile spread; last,
+# each side's attempted and failed operations.
+#
+# Exits non-zero if a run prints no result line or reports
+# "correct":false. The worktree is removed on exit.
+set -euo pipefail
+
+if [[ $# -ne 4 ]]; then
+    echo "usage: scripts/bench_pairs.sh PARENT_REV WORKLOAD FIRST_SEED LAST_SEED" >&2
+    exit 2
+fi
+parent_rev=$1 workload=$2 first=$3 last=$4
+if ! [[ $first =~ ^[0-9]+$ && $last =~ ^[0-9]+$ ]] || ((first > last)); then
+    echo "bench_pairs: seeds must be integers with FIRST_SEED <= LAST_SEED" >&2
+    exit 2
+fi
+
+root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+cd "$root"
+seconds=$(sed -n 's/^ *"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
+# "name better" for each end-to-end metric, in BENCHMARK.json's order.
+metrics=$(awk '
+    /"end_to_end"/ { on = 1 }
+    /"per_layer"/ { on = 0 }
+    on && /"name"/ { gsub(/[",]/, ""); name = $2 }
+    on && /"better"/ { gsub(/[",]/, ""); print name, $2 }
+' BENCHMARK.json)
+if [[ -z $seconds || -z $metrics ]]; then
+    echo "bench_pairs: BENCHMARK.json has no run_seconds or end_to_end metrics" >&2
+    exit 2
+fi
+
+work=$root/.bench_pairs
+tree=$work/parent
+cleanup() {
+    git -C "$root" worktree remove --force "$tree" >/dev/null 2>&1 || rm -rf "$tree"
+    git -C "$root" worktree prune
+}
+trap cleanup EXIT
+mkdir -p "$work"
+cleanup
+git -C "$root" worktree add --quiet --detach "$tree" "$parent_rev"
+parent_label=$(git -C "$tree" rev-parse --short HEAD)
+
+results=$work/$workload-seeds-$first-$last.tsv
+: >"$results"
+
+# run SIDE SEED: one benchmark run, its result line appended to $results.
+run() {
+    local side=$1 seed=$2 dir=$root line
+    local target=${CARGO_TARGET_DIR:-$root/.bench_build}
+    if [[ $side == parent ]]; then
+        dir=$tree
+        target=$work/target
+    fi
+    echo "bench_pairs: $workload seed $seed, $side" >&2
+    if ! line=$(cd "$dir" && CARGO_TARGET_DIR=$target bash perfbench/run.sh \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1); then
+        echo "bench_pairs: the $side run of seed $seed failed" >&2
+        exit 1
+    fi
+    if [[ $line != "{"* ]]; then
+        echo "bench_pairs: the $side run of seed $seed printed no result line" >&2
+        exit 1
+    fi
+    printf '%s\t%s\t%s\n' "$side" "$seed" "$line" >>"$results"
+    if [[ $line == *'"correct":false'* ]]; then
+        echo "bench_pairs: the $side run of seed $seed reported \"correct\":false" >&2
+        exit 1
+    fi
+}
+
+for ((seed = first; seed <= last; seed++)); do
+    if ((seed % 2 == 1)); then
+        run parent "$seed"
+        run change "$seed"
+    else
+        run change "$seed"
+        run parent "$seed"
+    fi
+done
+
+echo "$workload, seeds $first-$last, $seconds s runs: parent $parent_label against the working tree"
+awk -F'\t' -v metrics="$metrics" '
+    function value(line, key,    m) {
+        if (match(line, "\"" key "\":\\{\"value\":[-+0-9.eE]+")) {
+            m = substr(line, RSTART, RLENGTH)
+            sub(/.*:/, "", m)
+            return m + 0
+        }
+        return "nan"
+    }
+    function count(line, key,    m) {
+        if (match(line, "\"" key "\":[0-9]+")) {
+            m = substr(line, RSTART, RLENGTH)
+            sub(/.*:/, "", m)
+            return m + 0
+        }
+        return 0
+    }
+    # The p-quantile of v[1..n], sorted into s, interpolating linearly.
+    function quantile(v, n, p,    s, i, j, t, h, lo) {
+        for (i = 1; i <= n; i++) s[i] = v[i]
+        for (i = 2; i <= n; i++) {
+            t = s[i]
+            for (j = i - 1; j >= 1 && s[j] > t; j--) s[j + 1] = s[j]
+            s[j + 1] = t
+        }
+        h = (n - 1) * p + 1
+        lo = int(h)
+        return lo >= n ? s[n] : s[lo] + (h - lo) * (s[lo + 1] - s[lo])
+    }
+    {
+        side = $1
+        k = ++seen[side]
+        seed[side, k] = $2
+        line[side, k] = $3
+        attempted[side] += count($3, "attempted")
+        failed[side] += count($3, "failed")
+    }
+    END {
+        n = seen["parent"] < seen["change"] ? seen["parent"] : seen["change"]
+        m = split(metrics, spec, /[ \n]/)
+        for (i = 1; i < m; i += 2) {
+            name = spec[i]
+            higher = spec[i + 1] == "higher"
+            wins = 0
+            pairs = ""
+            for (k = 1; k <= n; k++) {
+                p[k] = value(line["parent", k], name)
+                c[k] = value(line["change", k], name)
+                if ((higher && c[k] > p[k]) || (!higher && c[k] < p[k])) wins++
+                pairs = pairs sprintf(" %s:(%.6g, %.6g)", seed["parent", k], p[k], c[k])
+            }
+            pm = quantile(p, n, 0.5); pq1 = quantile(p, n, 0.25); pq3 = quantile(p, n, 0.75)
+            cm = quantile(c, n, 0.5); cq1 = quantile(c, n, 0.25); cq3 = quantile(c, n, 0.75)
+            gain = higher ? cm - pm : pm - cm
+            spread = pq3 - pq1
+            printf "%s (%s is better)\n", name, higher ? "higher" : "lower"
+            printf "  per pair, seed:(parent, change):%s\n", pairs
+            printf "  parent median %.6g (q1 %.6g, q3 %.6g); change median %.6g (q1 %.6g, q3 %.6g)\n", \
+                pm, pq1, pq3, cm, cq1, cq3
+            printf "  change won %d/%d pairs; change median %+.1f%% against the parent median; gain %.6g against the parent quartile spread %.6g: %s\n", \
+                wins, n, pm != 0 ? 100 * (cm - pm) / pm : 0, gain, spread, \
+                (gain > spread ? "exceeds it" : "does not exceed it")
+        }
+        printf "operations: parent %d attempted, %d failed; change %d attempted, %d failed\n", \
+            attempted["parent"], failed["parent"], attempted["change"], failed["change"]
+    }
+' "$results"
+echo "result lines: $results"

@@ -558,6 +558,66 @@ fn aspect_limits_below_one_or_not_finite_fail_cleanly() {
 }
 
 #[test]
+fn numeric_flags_outside_the_request_bounds_fail_cleanly() {
+    // Every value is refused while the arguments are parsed, before any
+    // thread starts.
+    for (command, flag, value, range) in [
+        ("estimate", "--rows", "0", "1..=64"),
+        ("estimate", "--rows", "65", "1..=64"),
+        ("layout", "--rows", "65", "1..=64"),
+        ("estimate", "--jobs", "1025", "1..=1024"),
+        ("report", "--replicas", "1025", "1..=1024"),
+        ("layout", "--replicas", "0", "1..=1024"),
+    ] {
+        let out = cli()
+            .args([command, &asset("counter4.mnl"), flag, value])
+            .output()
+            .expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{command} {flag} {value}: {stderr}"
+        );
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(
+            errors,
+            [format!("error: {flag} must be in {range}, got {value}")],
+            "{command} {flag} {value}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "{command} {flag} {value}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{command} {flag} {value}");
+    }
+}
+
+#[test]
+fn a_spice_deck_with_a_repeated_port_fails_to_parse() {
+    let dir = scratch_dir("dupport");
+    let deck = dir.join("dupport.sp");
+    std::fs::write(
+        &deck,
+        "* inverter\n.subckt inv a a y\nM1 y a gnd gnd pd\nM2 vdd y y gnd pu\n.ends\n",
+    )
+    .expect("writes the deck");
+    let out = cli()
+        .args(["estimate", &deck.to_string_lossy()])
+        .output()
+        .expect("runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(
+        errors[0].ends_with("dupport.sp: line 2: duplicate name: port `a` declared twice"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn report_renders_markdown_with_floorplan() {
     let out = cli()
         .args([
