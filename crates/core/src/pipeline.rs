@@ -363,9 +363,11 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::UnknownTemplate`] only when the module
-    /// resolves under *neither* style — a module that fits one table is
-    /// fine.
+    /// Fails only when the module resolves under *neither* style — a
+    /// module that fits one table is fine: [`NetlistError::UnknownTemplate`]
+    /// names the first device neither table knows, and
+    /// [`NetlistError::Invalid`] reports a module without devices or one
+    /// that mixes cell and transistor templates.
     pub fn run_module(&self, module: &Module) -> Result<EstimateRecord, NetlistError> {
         let _module_span = trace::span_with("pipeline.module", || module.name().to_owned());
         trace::counter("estimate.nets", module.net_count() as u64);
@@ -408,15 +410,7 @@ impl Pipeline {
             _ => None,
         };
         if sc.is_none() && fc.is_none() {
-            let first = module
-                .devices()
-                .next()
-                .map(|(_, d)| (d.name().to_owned(), d.template().to_owned()))
-                .unwrap_or_else(|| ("<none>".to_owned(), "<empty module>".to_owned()));
-            return Err(NetlistError::UnknownTemplate {
-                device: first.0,
-                template: first.1,
-            });
+            return Err(self.unresolvable(module));
         }
         let record = EstimateRecord {
             module_name: module.name().to_owned(),
@@ -428,6 +422,44 @@ impl Pipeline {
             cache.insert(key, record.clone());
         }
         Ok(record)
+    }
+
+    /// Why `module` resolves under neither style: its first device whose
+    /// template neither table knows; else, when it has devices, one
+    /// device of each kind it mixes; else that it has no devices.
+    fn unresolvable(&self, module: &Module) -> NetlistError {
+        let mut cell = None;
+        let mut transistor = None;
+        for (_, dev) in module.devices() {
+            let template = dev.template();
+            let in_cells = self.tech.cell_library().cell(template).is_some();
+            let in_devices = self.tech.device(template).is_some();
+            match (in_cells, in_devices) {
+                (false, false) => {
+                    return NetlistError::UnknownTemplate {
+                        device: dev.name().to_owned(),
+                        template: template.to_owned(),
+                    }
+                }
+                (true, false) => cell = cell.or(Some(dev)),
+                (false, true) => transistor = transistor.or(Some(dev)),
+                (true, true) => {}
+            }
+        }
+        // Every template is known, so a style failed only because some
+        // device lacks its table: both kinds are present, or no device is.
+        match (cell, transistor) {
+            (Some(cell), Some(transistor)) => NetlistError::invalid(format!(
+                "module `{}` mixes cell and transistor templates: device `{}` uses cell `{}`, \
+                 device `{}` uses transistor `{}`",
+                module.name(),
+                cell.name(),
+                cell.template(),
+                transistor.name(),
+                transistor.template(),
+            )),
+            _ => NetlistError::invalid(format!("module `{}` has no devices", module.name())),
+        }
     }
 
     /// Parses `.mnl` source and estimates the module.

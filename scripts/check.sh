@@ -65,4 +65,14 @@ if grep -n "debug_assert" "${SHARDING_PATHS[@]}"; then
     exit 1
 fi
 
+echo "==> no panicking lock acquisitions in the serve daemon"
+# A lock taken with expect/unwrap panics once any holder panicked, and
+# from then on the daemon fails every request that needs the lock. The
+# daemon's locks recover from poisoning instead. Whitespace is removed
+# first, so a call that rustfmt splits across lines is caught too.
+if tr -d '[:space:]' < crates/maestro/src/serve.rs | grep -qE '\.lock\(\)\.(expect\(|unwrap\(\))'; then
+    echo "error: .lock().expect( or .lock().unwrap() in crates/maestro/src/serve.rs" >&2
+    exit 1
+fi
+
 echo "==> tier-1 gate passed"

@@ -1037,3 +1037,154 @@ fn a_full_stdout_fails_with_a_write_error() {
         assert!(!err.contains("invalid netlist"), "stream={stream}: {err}");
     }
 }
+
+/// Runs `estimate` on one `.mnl` source, whole and streamed, and returns
+/// the one error line both print.
+fn estimate_error(test: &str, source: &str) -> String {
+    let dir = scratch_dir(test);
+    let file = dir.join("design.mnl");
+    std::fs::write(&file, source).expect("writes the design");
+    let file = file.to_string_lossy().into_owned();
+    let mut lines = Vec::new();
+    for stream in [false, true] {
+        let mut cmd = cli();
+        cmd.args(["estimate", &file]);
+        if stream {
+            cmd.arg("--stream");
+        }
+        let out = cmd.output().expect("runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stream={stream}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "stream={stream}: {stderr}");
+        lines.push(errors[0].to_owned());
+    }
+    let _ = std::fs::remove_dir_all(dir);
+    assert_eq!(lines[0], lines[1], "streamed and whole runs agree");
+    lines.swap_remove(0)
+}
+
+#[test]
+fn an_empty_module_is_named_as_empty() {
+    assert_eq!(
+        estimate_error("empty-module", "module e;\nendmodule\n"),
+        "error: invalid netlist: module `e` has no devices"
+    );
+}
+
+#[test]
+fn an_unknown_template_names_its_own_device() {
+    assert_eq!(
+        estimate_error(
+            "unknown-template",
+            "module m;\ninput a;\noutput y;\n\
+             device u1 INV (A=a, Y=t);\ndevice u2 WARP (A=t, Y=y);\nendmodule\n"
+        ),
+        "error: device `u2` uses unknown template `WARP`"
+    );
+}
+
+#[test]
+fn mixed_cell_and_transistor_templates_name_one_device_of_each() {
+    assert_eq!(
+        estimate_error(
+            "mixed-templates",
+            "module x;\ninput a;\noutput y;\n\
+             device u1 INV (A=a, Y=t);\ndevice m1 pd (D=y, G=t, S=gnd);\nendmodule\n"
+        ),
+        "error: invalid netlist: module `x` mixes cell and transistor templates: \
+         device `u1` uses cell `INV`, device `m1` uses transistor `pd`"
+    );
+}
+
+/// A spawned daemon, killed and reaped if the test fails before it exits.
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn serve_socket_answers_an_estimate_and_exits_on_shutdown() {
+    use maestro::estimator::request::{EstimateRequest, Request, RequestCall, Response};
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::os::unix::net::UnixStream;
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+
+    let dir = scratch_dir("serve-socket");
+    let socket = dir.join("daemon.sock");
+    let mut daemon = Daemon(
+        cli()
+            .args(["serve", "--socket"])
+            .arg(&socket)
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the daemon starts"),
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stream = loop {
+        match UnixStream::connect(&socket) {
+            Ok(stream) => break stream,
+            Err(e) => {
+                assert!(Instant::now() < deadline, "the socket never accepted: {e}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    };
+    let mut reader = BufReader::new(stream.try_clone().expect("the stream clones"));
+    let mut ask = |request: Request| {
+        writeln!(&stream, "{}", request.to_json_line()).expect("the request is written");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("the answer is read");
+        Response::parse(line.trim_end()).expect("the answer parses")
+    };
+
+    let file = asset("counter4.mnl");
+    let estimate = ask(Request {
+        id: "e1".to_owned(),
+        call: RequestCall::Estimate(EstimateRequest {
+            files: vec![file.clone()],
+            mnl: Vec::new(),
+            tech: "nmos".to_owned(),
+            rows: None,
+            jobs: 1,
+            json: false,
+            incremental: false,
+        }),
+    });
+    let one_shot = cli().args(["estimate", &file]).output().expect("runs");
+    assert_eq!(
+        estimate.result.as_deref(),
+        Ok(String::from_utf8_lossy(&one_shot.stdout).as_ref())
+    );
+    let bye = ask(Request {
+        id: "bye".to_owned(),
+        call: RequestCall::Shutdown,
+    });
+    assert_eq!(bye.id, "bye");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = daemon.0.try_wait().expect("the daemon is polled") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "the daemon did not exit");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let mut stderr = String::new();
+    daemon
+        .0
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr reads");
+    assert_eq!(status.code(), Some(0), "{stderr}");
+    assert_eq!(stderr, "serve: answered 2 request(s), 0 error(s)\n");
+    assert!(!socket.exists(), "the socket file is unlinked");
+    let _ = std::fs::remove_dir_all(dir);
+}
