@@ -148,7 +148,7 @@ pub enum RequestCall {
     /// Chip floorplan from per-module estimates (`floorplan`).
     Floorplan(FloorplanRequest),
     /// Markdown design report (`report`).
-    Report(ReportRequest),
+    Report(FloorplanRequest),
     /// Session cache introspection (`cache-stats`): resolve-memo,
     /// result-memo and tech-reuse counters as a JSON payload.
     CacheStats,
@@ -194,7 +194,8 @@ pub struct LayoutRequest {
     pub warm: bool,
 }
 
-/// Schematic sources plus parameters for a `floorplan` request.
+/// Schematic sources plus parameters for a `floorplan` or a `report`
+/// request: a report is rendered around the same floorplan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FloorplanRequest {
     /// Server-side schematic files.
@@ -212,23 +213,8 @@ pub struct FloorplanRequest {
     pub backend: String,
 }
 
-/// Schematic sources plus parameters for a `report` request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportRequest {
-    /// Server-side schematic files.
-    pub files: Vec<String>,
-    /// Inline `.mnl` sources.
-    pub mnl: Vec<String>,
-    /// Technology spec.
-    pub tech: String,
-    /// Chip aspect-ratio limit, long side ÷ short side (finite, ≥ 1; see
-    /// [`check_aspect_limit`]).
-    pub aspect: Option<f64>,
-    /// Annealing replicas (`1..=`[`MAX_FANOUT`]).
-    pub replicas: u32,
-    /// Floorplan backend name (one of [`FLOORPLAN_BACKENDS`]).
-    pub backend: String,
-}
+/// The parameters of a `report` request: those of a `floorplan`.
+pub type ReportRequest = FloorplanRequest;
 
 /// A request that could not be decoded. Carries the id when one could be
 /// recovered from the malformed line, so the server can still address its
@@ -390,16 +376,7 @@ impl Request {
                     fields.push(("warm".to_owned(), Value::Bool(true)));
                 }
             }
-            RequestCall::Floorplan(req) => {
-                sources(&mut fields, &req.files, &req.mnl);
-                fields.push(("tech".to_owned(), Value::Str(req.tech.clone())));
-                if let Some(aspect) = req.aspect {
-                    fields.push(("aspect".to_owned(), Value::F64(aspect)));
-                }
-                fields.push(("replicas".to_owned(), Value::U64(req.replicas.into())));
-                fields.push(("backend".to_owned(), Value::Str(req.backend.clone())));
-            }
-            RequestCall::Report(req) => {
+            RequestCall::Floorplan(req) | RequestCall::Report(req) => {
                 sources(&mut fields, &req.files, &req.mnl);
                 fields.push(("tech".to_owned(), Value::Str(req.tech.clone())));
                 if let Some(aspect) = req.aspect {
@@ -526,22 +503,21 @@ impl Request {
                         None => false,
                     },
                 }),
-                "floorplan" => RequestCall::Floorplan(FloorplanRequest {
-                    files: parse_sources(fields, "files")?,
-                    mnl: parse_sources(fields, "mnl")?,
-                    tech: parse_tech(fields)?,
-                    aspect: parse_aspect(fields)?,
-                    replicas: parse_fanout(fields, "replicas")?,
-                    backend: parse_backend(fields)?,
-                }),
-                "report" => RequestCall::Report(ReportRequest {
-                    files: parse_sources(fields, "files")?,
-                    mnl: parse_sources(fields, "mnl")?,
-                    tech: parse_tech(fields)?,
-                    aspect: parse_aspect(fields)?,
-                    replicas: parse_fanout(fields, "replicas")?,
-                    backend: parse_backend(fields)?,
-                }),
+                "floorplan" | "report" => {
+                    let plan = FloorplanRequest {
+                        files: parse_sources(fields, "files")?,
+                        mnl: parse_sources(fields, "mnl")?,
+                        tech: parse_tech(fields)?,
+                        aspect: parse_aspect(fields)?,
+                        replicas: parse_fanout(fields, "replicas")?,
+                        backend: parse_backend(fields)?,
+                    };
+                    if kind == "floorplan" {
+                        RequestCall::Floorplan(plan)
+                    } else {
+                        RequestCall::Report(plan)
+                    }
+                }
                 "cache-stats" => RequestCall::CacheStats,
                 "shutdown" => RequestCall::Shutdown,
                 _ => unreachable!("kind validated above"),
@@ -551,8 +527,7 @@ impl Request {
         if let Some((files, mnl)) = match &call {
             RequestCall::Estimate(r) => Some((&r.files, &r.mnl)),
             RequestCall::Layout(r) => Some((&r.files, &r.mnl)),
-            RequestCall::Floorplan(r) => Some((&r.files, &r.mnl)),
-            RequestCall::Report(r) => Some((&r.files, &r.mnl)),
+            RequestCall::Floorplan(r) | RequestCall::Report(r) => Some((&r.files, &r.mnl)),
             RequestCall::CacheStats | RequestCall::Shutdown => None,
         } {
             if files.is_empty() && mnl.is_empty() {

@@ -34,11 +34,11 @@
 //! once their requests in flight are answered.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::Shutdown;
 use std::os::fd::OwnedFd;
-use std::os::unix::fs::MetadataExt;
+use std::os::unix::fs::{FileTypeExt, MetadataExt};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -58,7 +58,7 @@ use maestro_netlist::{
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
 
-use crate::ops;
+use crate::ops::{self, StreamItem};
 
 /// The warm state one daemon keeps across requests.
 ///
@@ -73,12 +73,11 @@ use crate::ops;
 /// `"incremental":true` estimate can diff against the last batch), and a
 /// [`WarmStore`] of winning synthesis seeds for `"warm":true` layouts.
 ///
-/// Request sources are parsed through a per-module memo: canonical
-/// multi-module `.mnl` text is split into `module … endmodule` chunks
-/// and each chunk's parse is cached by content hash, so re-submitting a
+/// Request sources are parsed through a per-module memo: `.mnl` text is
+/// cut into modules by [`mnl::chunks`], as the CLI cuts it, and each
+/// module's parse is cached by the hash of its text, so re-submitting a
 /// chip with one edited module re-parses one module, not the whole file.
-/// Any non-canonical or erroneous source falls back to the whole-file
-/// parser for byte-identical diagnostics.
+/// A chunk's errors are the CLI's, line for line.
 pub struct Session {
     techs: Mutex<HashMap<String, Arc<ProcessDb>>>,
     stats: Arc<StatsCache>,
@@ -159,44 +158,11 @@ impl Session {
         self.tech_reuse.load(Ordering::Relaxed)
     }
 
-    /// Parses one `.mnl` source through the per-module memo, or `None`
-    /// when the source isn't canonically splittable, any chunk fails to
-    /// parse, or chunks duplicate a module name — the caller then runs
-    /// the whole-file parser so diagnostics (line numbers, duplicate
-    /// errors) stay byte-identical to the uncached path.
-    fn try_parse_cached(&self, source: &str) -> Option<Vec<Arc<Module>>> {
-        let _span = trace::span("serve.parse");
-        let chunks = mnl::split_design(source)?;
-        // Misses parse outside any lock: the memo stays available to
-        // concurrent requests while this one chews its fresh chunks.
-        let mut fresh: Vec<(u128, Arc<Module>)> = Vec::new();
-        let mut modules: Vec<Arc<Module>> = Vec::with_capacity(chunks.len());
-        for chunk in chunks {
-            let hash = content_hash128(chunk.as_bytes());
-            let module = match self.parsed.get(&hash) {
-                Some(module) => module,
-                None => {
-                    let module = Arc::new(mnl::parse(chunk).ok()?);
-                    fresh.push((hash, Arc::clone(&module)));
-                    module
-                }
-            };
-            modules.push(module);
-        }
-        // The parser's duplicate-module rule; parse_design owns the error.
-        let mut names = HashSet::with_capacity(modules.len());
-        if !modules.iter().all(|m| names.insert(m.name())) {
-            return None;
-        }
-        for (hash, module) in fresh {
-            self.parsed.insert(hash, module);
-        }
-        Some(modules)
-    }
-
-    /// Gathers a request's modules from file paths and inline sources,
-    /// routing every `.mnl` text through the parse memo with a
-    /// whole-file fallback for canonical error reporting.
+    /// Gathers a request's modules from file paths and inline sources, in
+    /// order, as the CLI reads them: each file through
+    /// [`ops::SchematicFile`], each inline text cut by [`mnl::chunks`].
+    /// Every `.mnl` module goes through the parse memo. The first error,
+    /// `FILE: ` or `inline mnl: `-prefixed, ends the gathering.
     fn gather_modules(
         &self,
         files: &[String],
@@ -204,31 +170,40 @@ impl Session {
     ) -> Result<Vec<Arc<Module>>, String> {
         let mut modules = Vec::new();
         for file in files {
-            if std::path::Path::new(file)
-                .extension()
-                .is_some_and(|e| e == "mnl")
-            {
-                let source = std::fs::read_to_string(file)
-                    .map_err(|e| format!("cannot read {file}: {e}"))?;
-                modules.extend(self.parse_mnl(&source, file)?);
-            } else {
-                modules.extend(ops::load_modules(file)?.into_iter().map(Arc::new));
+            let file = ops::SchematicFile::read(file)?;
+            let _span = trace::span("serve.parse");
+            for item in file.modules() {
+                modules.push(match item {
+                    StreamItem::Chunk(path, chunk) => self.parse_chunk(path, chunk)?,
+                    StreamItem::Parsed(parsed) => {
+                        parsed.map(Arc::from).map_err(|e| e.to_string())?
+                    }
+                });
             }
         }
         for source in mnl_sources {
-            modules.extend(self.parse_mnl(source, "inline mnl")?);
+            let _span = trace::span("serve.parse");
+            for chunk in mnl::chunks(source) {
+                modules.push(self.parse_chunk("inline mnl", chunk)?);
+            }
         }
         Ok(modules)
     }
 
-    /// One `.mnl` text through the parse memo, or through the whole-file
-    /// parser (its errors prefixed with `origin`) when the memo declines.
-    fn parse_mnl(&self, source: &str, origin: &str) -> Result<Vec<Arc<Module>>, String> {
-        if let Some(parsed) = self.try_parse_cached(source) {
-            return Ok(parsed);
+    /// One module through the parse memo, keyed by the hash of its
+    /// [`mnl::Chunk::content`]. A miss parses outside any lock, so the
+    /// memo stays available to concurrent requests meanwhile; only a
+    /// module that parses is kept. An error is prefixed with `origin`.
+    fn parse_chunk(&self, origin: &str, chunk: mnl::Chunk<'_>) -> Result<Arc<Module>, String> {
+        let key = chunk.content().map(|text| content_hash128(text.as_bytes()));
+        if let Some(module) = key.and_then(|key| self.parsed.get(&key)) {
+            return Ok(module);
         }
-        let modules = mnl::parse_design(source).map_err(|e| format!("{origin}: {e}"))?;
-        Ok(modules.into_iter().map(Arc::new).collect())
+        let module = Arc::new(chunk.parse().map_err(|e| format!("{origin}: {e}"))?);
+        if let Some(key) = key {
+            self.parsed.insert(key, Arc::clone(&module));
+        }
+        Ok(module)
     }
 
     fn dispatch(&self, request: &Request) -> Result<String, String> {
@@ -280,23 +255,18 @@ impl Session {
                 }
                 Ok(out)
             }
-            RequestCall::Floorplan(req) => {
+            RequestCall::Floorplan(req) | RequestCall::Report(req) => {
                 let tech = self.tech(&req.tech)?;
                 let modules = self.gather_modules(&req.files, &req.mnl)?;
                 let pipeline = self
                     .pipeline(tech)
                     .with_replicas(req.replicas as usize)
                     .with_floorplan_backend(req.backend.clone());
-                ops::floorplan_output(&pipeline, &modules, req.aspect).map(|(text, _)| text)
-            }
-            RequestCall::Report(req) => {
-                let tech = self.tech(&req.tech)?;
-                let modules = self.gather_modules(&req.files, &req.mnl)?;
-                let pipeline = self
-                    .pipeline(tech)
-                    .with_replicas(req.replicas as usize)
-                    .with_floorplan_backend(req.backend.clone());
-                ops::report_output(&pipeline, &modules, req.aspect, 1).map(|(text, _)| text)
+                if matches!(request.call, RequestCall::Floorplan(_)) {
+                    ops::floorplan_output(&pipeline, &modules, req.aspect).map(|(text, _)| text)
+                } else {
+                    ops::report_output(&pipeline, &modules, req.aspect, 1).map(|(text, _)| text)
+                }
             }
         }
     }
@@ -573,8 +543,9 @@ pub const MAX_CONNECTIONS: usize = 64;
 /// Serves the protocol on a unix socket, one handler thread per
 /// connection up to [`MAX_CONNECTIONS`], all sharing one warm
 /// [`Session`]. The accept loop blocks, so each connection is served as
-/// soon as it arrives. The socket file is created fresh (a stale one is
-/// removed).
+/// soon as it arrives. The socket file is created fresh: a stale socket
+/// at `path`, one that refuses connections, is replaced; a live daemon's
+/// socket or any other file there is left alone.
 ///
 /// A shutdown request on any connection stops the daemon once that
 /// connection is answered: the listening socket refuses new clients, the
@@ -589,12 +560,12 @@ pub const MAX_CONNECTIONS: usize = 64;
 ///
 /// # Errors
 ///
-/// Socket setup errors. A per-connection I/O error only ends that
+/// Socket setup errors: [`io::ErrorKind::AddrInUse`] when a daemon is
+/// already serving `path`, [`io::ErrorKind::AlreadyExists`] when some
+/// other file is there. A per-connection I/O error only ends that
 /// connection; an accept error stops the daemon as a shutdown does.
 pub fn serve_socket(session: &Session, path: &Path, jobs: usize) -> io::Result<ServeSummary> {
-    if path.exists() {
-        std::fs::remove_file(path)?;
-    }
+    claim_socket_path(path)?;
     let listener = UnixListener::bind(path)?;
     let bound = std::fs::metadata(path)?;
     // The listening socket again, as a handle that can be shut down.
@@ -685,6 +656,40 @@ pub fn serve_socket(session: &Session, path: &Path, jobs: usize) -> io::Result<S
     })
 }
 
+/// Makes way for a daemon's socket at `path`. Nothing there is fine. A
+/// socket that refuses connections is a stopped daemon's file and is
+/// removed. A socket that accepts one belongs to a running daemon, and
+/// any other file is not a socket this daemon may replace: both are left
+/// as they are, and are errors.
+fn claim_socket_path(path: &Path) -> io::Result<()> {
+    let file_type = match std::fs::symlink_metadata(path) {
+        Ok(meta) => meta.file_type(),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    if file_type.is_socket() {
+        match UnixStream::connect(path) {
+            Ok(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::AddrInUse,
+                    format!("a daemon is already serving {}", path.display()),
+                ))
+            }
+            Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
+                return std::fs::remove_file(path)
+            }
+            Err(_) => {}
+        }
+    }
+    Err(io::Error::new(
+        io::ErrorKind::AlreadyExists,
+        format!(
+            "{} already exists and is not a stale socket",
+            path.display()
+        ),
+    ))
+}
+
 /// Answers a connection past [`MAX_CONNECTIONS`] with one error line;
 /// the caller's drop of the stream then closes it.
 fn refuse(stream: &UnixStream) -> io::Result<ServeSummary> {
@@ -771,6 +776,57 @@ mod tests {
         };
         let response = session.handle(&request);
         assert!(response.is_ok(), "{response:?}");
+    }
+
+    /// The parse memo's hit count, read from the `cache-stats` payload.
+    fn parse_hits(session: &Session) -> u64 {
+        let request = Request {
+            id: "c".to_owned(),
+            call: RequestCall::CacheStats,
+        };
+        let payload = session
+            .handle(&request)
+            .result
+            .expect("cache-stats answers");
+        let (_, rest) = payload
+            .split_once("\"parse\":{\"hits\":")
+            .expect("a parse entry");
+        rest[..rest.find(',').expect("more fields")]
+            .parse()
+            .expect("a count")
+    }
+
+    #[test]
+    fn a_non_canonical_source_hits_the_parse_memo_module_by_module() {
+        // Two modules on one line, a comment after `endmodule` and one
+        // between modules: no line-based cutter splits this.
+        let source = "# header\n\
+             module a; input x; output y; device u1 INV (A=x, Y=y); endmodule \
+             module b; input x; output y; device u1 INV (A=x, Y=t); device u2 INV (A=t, Y=y); \
+             endmodule # after b\n\
+             # between\n\
+             module c;\ninput x;\noutput y;\ndevice u1 INV (A=x, Y=y);\nendmodule\n";
+        let session = Session::with_caches(Arc::new(StatsCache::new()), Arc::new(ProbTable::new()));
+        let request = Request {
+            id: "e".to_owned(),
+            call: RequestCall::Estimate(EstimateRequest {
+                files: Vec::new(),
+                mnl: vec![source.to_owned()],
+                tech: "nmos".to_owned(),
+                rows: None,
+                jobs: 1,
+                json: false,
+                incremental: false,
+            }),
+        };
+        let modules = ops::parse_inline_mnl(source).expect("the source parses");
+        assert_eq!(modules.len(), 3);
+        let one_shot = Pipeline::from_shared_tech(Arc::new(ops::load_tech("nmos").unwrap()));
+        let expected = ops::estimate_output(&one_shot, &modules, 1, false);
+        assert_eq!(session.handle(&request).result, expected);
+        let hits = parse_hits(&session);
+        assert_eq!(session.handle(&request).result, expected);
+        assert_eq!(parse_hits(&session), hits + 3, "each module is a memo hit");
     }
 
     #[test]

@@ -363,7 +363,28 @@ pub struct Chunk<'a> {
     repeat: bool,
 }
 
-impl Chunk<'_> {
+impl<'a> Chunk<'a> {
+    /// What the chunk's module is parsed from: its text from the first
+    /// token on. The whitespace and `#` comments before a module only
+    /// move its lines, so two chunks with the same content parse to the
+    /// same module, and a parse memo can key on it. `None` for a chunk
+    /// that repeats an earlier module's name: whatever its content, its
+    /// parse is the duplicate-module error.
+    pub fn content(&self) -> Option<&'a str> {
+        if self.repeat {
+            return None;
+        }
+        let mut t = Tokens::new(self.text);
+        let start = match t.lex() {
+            Ok(Some((Token::Ident(word), _))) => t.pos - word.len(),
+            Ok(Some(_)) => t.pos - 1,
+            // The end of the text, or the stray character the parse
+            // fails on.
+            Ok(None) | Err(_) => t.pos,
+        };
+        Some(&self.text[start..])
+    }
+
     /// Parses the chunk into the module — or the error — that [`modules`]
     /// yields for it. Errors carry lines of the whole source. A module
     /// whose name an earlier chunk declared is a
@@ -659,20 +680,21 @@ pub fn to_mnl(module: &Module) -> String {
 }
 
 /// Splits a multi-module design source into per-module text chunks
-/// *without* parsing — the cheap first half of an incremental re-parse.
+/// *without* parsing, by lines. The product cuts with [`chunks`]. This
+/// independent cutter is kept for the benchmark (`perfbench/`), whose
+/// reference output for a streamed chip is parsed from these cuts and so
+/// also checks the CLI's cutter; it goes once the benchmark moves to
+/// [`chunks`].
 ///
 /// Each chunk runs from its `module …` line through its `endmodule` line
 /// inclusive; blank lines and `#` comments between modules belong to no
-/// chunk (they carry no semantics, so a caller hashing chunks for a parse
-/// memo stays insensitive to them). The split is deliberately
-/// conservative: it only recognizes the canonical one-declaration-per-line
-/// shape [`to_mnl`] emits, and returns `None` for anything else — content
-/// outside a block, an unterminated block, an empty source — so callers
-/// fall back to [`parse_design`], which reports the canonical error.
+/// chunk. The split is deliberately conservative: it only recognizes the
+/// canonical one-declaration-per-line shape [`to_mnl`] emits, and returns
+/// `None` for anything else — content outside a block, an unterminated
+/// block, an empty source.
 ///
 /// A chunk is *not* guaranteed to be a valid module, only to cover the
-/// same text [`parse_design`] would consume for it: parse each chunk (or
-/// serve it from a memo) and fall back to the whole source on failure.
+/// same text [`parse_design`] would consume for it.
 ///
 /// # Examples
 ///
@@ -1175,6 +1197,32 @@ endmodule
         }
     }
 
+    #[test]
+    fn chunk_content_skips_leading_comments_and_repeated_modules() {
+        let source = "# header\n  \nmodule a; endmodule # after a\n\
+                      # between\n\u{3000}\tmodule b;\ninput x;\nendmodule\n\
+                      module a;\nendmodule\n# tail\n$stray";
+        let chunks: Vec<Chunk> = chunks(source).collect();
+        let contents: Vec<Option<&str>> = chunks.iter().map(Chunk::content).collect();
+        assert_eq!(
+            contents,
+            [
+                Some("module a; endmodule"),
+                Some("module b;\ninput x;\nendmodule"),
+                None,
+                Some("$stray"),
+            ]
+        );
+        // The content alone parses to the chunk's module.
+        let b = chunks[1].parse().expect("b parses");
+        assert_eq!(parse("module b;\ninput x;\nendmodule").unwrap(), b);
+        for blank in ["", "  \n# only a comment\n"] {
+            let only: Vec<Chunk> = super::chunks(blank).collect();
+            assert_eq!(only.len(), 1);
+            assert_eq!(only[0].content(), Some(""), "source {blank:?}");
+        }
+    }
+
     /// A source as tokens and the whitespace and comments between them.
     fn pieces(source: &str) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
@@ -1235,6 +1283,30 @@ endmodule
         "\n# endmodule\nendmodule\n",
     ];
 
+    /// Base design `base` (of three) with token-level `edits` applied:
+    /// `(op, at, insert)` inserts, deletes, duplicates or replaces the
+    /// piece at `at`.
+    fn mutated(base: usize, edits: Vec<(u8, usize, usize)>) -> String {
+        let adder_twice = format!("{FULL_ADDER}\n{FULL_ADDER}");
+        let generated: String = [3, 4, 5]
+            .into_iter()
+            .map(|n| to_mnl(&crate::generate::counter(n)))
+            .collect();
+        let bases = [SHADOWED, adder_twice.as_str(), generated.as_str()];
+        let mut source = pieces(bases[base]);
+        for (op, at, insert) in edits {
+            let at = at % (source.len() + 1);
+            match op {
+                0 => source.insert(at, INSERTS[insert].to_owned()),
+                _ if at == source.len() => source.push(INSERTS[insert].to_owned()),
+                1 => drop(source.remove(at)),
+                2 => source.insert(at, source[at].clone()),
+                _ => source[at] = INSERTS[insert].to_owned(),
+            }
+        }
+        source.concat()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(3000))]
 
@@ -1243,26 +1315,31 @@ endmodule
             base in 0usize..3,
             edits in proptest::collection::vec((0u8..4, 0usize..4096, 0usize..INSERTS.len()), 0..5),
         ) {
-            let adder_twice = format!("{FULL_ADDER}\n{FULL_ADDER}");
-            let generated: String = [3, 4, 5]
-                .into_iter()
-                .map(|n| to_mnl(&crate::generate::counter(n)))
-                .collect();
-            let bases = [SHADOWED, adder_twice.as_str(), generated.as_str()];
-            let mut source = pieces(bases[base]);
-            for (op, at, insert) in edits {
-                let at = at % (source.len() + 1);
-                match op {
-                    0 => source.insert(at, INSERTS[insert].to_owned()),
-                    _ if at == source.len() => source.push(INSERTS[insert].to_owned()),
-                    1 => drop(source.remove(at)),
-                    2 => source.insert(at, source[at].clone()),
-                    _ => source[at] = INSERTS[insert].to_owned(),
-                }
-            }
-            let source = source.concat();
+            let source = mutated(base, edits);
             let chunked: Vec<_> = modules(&source).collect();
             proptest::prop_assert_eq!(chunked, reference_modules(&source), "source {:?}", source);
+        }
+
+        /// The parse memo's contract: a chunk with content parses to
+        /// what its content alone parses to, wherever the chunk sits.
+        #[test]
+        fn a_chunk_parses_like_its_content_alone(
+            base in 0usize..3,
+            edits in proptest::collection::vec((0u8..4, 0usize..4096, 0usize..INSERTS.len()), 0..5),
+        ) {
+            let source = mutated(base, edits);
+            for chunk in chunks(&source) {
+                if let Some(content) = chunk.content() {
+                    let alone = Chunk { text: content, line: 1, repeat: false };
+                    proptest::prop_assert_eq!(
+                        alone.parse().ok(),
+                        chunk.parse().ok(),
+                        "chunk {:?} of {:?}",
+                        chunk.text,
+                        source
+                    );
+                }
+            }
         }
     }
 

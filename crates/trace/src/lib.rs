@@ -3,7 +3,7 @@
 //! The paper's pitch is *speed*: an analytical estimator fast enough to
 //! sit inside a floorplanner's inner loop. Keeping it fast requires seeing
 //! where time and work go inside a run. This crate is the workspace's
-//! lightweight, zero-dependency instrumentation layer:
+//! lightweight instrumentation layer:
 //!
 //! - **Spans** ([`span`], [`span_with`]): nestable stages with wall-clock
 //!   timings, parent links and per-thread attribution, emitted on drop.
@@ -16,6 +16,9 @@
 //!   in-memory [`Collector`] for tests.
 //! - **Reports** ([`report`]): fold a JSON-lines trace into a
 //!   machine-readable per-stage timing summary (`BENCH_<label>.json`).
+//!   Events are written by this crate's own JSON-lines writer, the
+//!   traced hot path; traces and reports are read back with the
+//!   workspace's `serde_json`.
 //!
 //! # Cost model
 //!

@@ -1,12 +1,15 @@
 //! Folding a JSON-lines trace into a per-stage timing summary — the
 //! machine-readable `BENCH_<label>.json` perf-trajectory artifact.
 //!
-//! One deliberately small JSON reader serves both directions: the flat
-//! single-object lines this crate's [`Event::to_json_line`] emits (unknown
-//! keys and any key order tolerated, nested values rejected) and the
-//! nested `BENCH_<label>.json` reports [`PerfReport::to_json`] writes.
+//! Both formats are read with the workspace's `serde_json`, as the
+//! request codec reads its lines: the flat single-object lines this
+//! crate's [`Event::to_json_line`] emits (unknown keys and any key order
+//! tolerated; every value a string or a number) and the nested
+//! `BENCH_<label>.json` reports [`PerfReport::to_json`] writes.
 
 use std::collections::BTreeMap;
+
+use serde::{find_field, Value};
 
 use crate::event::{format_f64, quoted};
 use crate::Event;
@@ -28,189 +31,56 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A parsed JSON value, as far as the trace and report schemas need:
-/// objects, arrays, strings and numbers (no booleans or nulls).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Str(String),
-    Num(f64),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+/// The fields of one JSON object.
+type Fields = [(String, Value)];
+
+fn field<'v>(fields: &'v Fields, key: &str) -> Result<&'v Value, String> {
+    find_field(fields, key).ok_or_else(|| format!("missing field `{key}`"))
 }
 
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn field(&self, key: &str) -> Result<&Json, String> {
-        self.get(key)
-            .ok_or_else(|| format!("missing field `{key}`"))
-    }
-
-    fn str_of(&self, key: &str) -> Result<String, String> {
-        match self.field(key)? {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err(format!("field `{key}` must be a string")),
-        }
-    }
-
-    fn f64_of(&self, key: &str) -> Result<f64, String> {
-        match self.field(key)? {
-            Json::Num(n) => Ok(*n),
-            _ => Err(format!("field `{key}` must be a number")),
-        }
-    }
-
-    fn u64_of(&self, key: &str) -> Result<u64, String> {
-        match self.field(key)? {
-            Json::Num(n) if *n >= 0.0 => Ok(*n as u64),
-            _ => Err(format!("field `{key}` must be a non-negative number")),
-        }
-    }
-
-    /// The array under `key`, or `None` when the key is absent.
-    fn items(&self, key: &str) -> Result<Option<&[Json]>, String> {
-        match self.get(key) {
-            Some(Json::Arr(items)) => Ok(Some(items)),
-            Some(_) => Err(format!("field `{key}` must be an array")),
-            None => Ok(None),
-        }
-    }
-
-    fn entries(&self, key: &str) -> Result<&[(String, Json)], String> {
-        match self.field(key)? {
-            Json::Obj(fields) => Ok(fields),
-            _ => Err(format!("field `{key}` must be an object")),
-        }
+fn str_field(fields: &Fields, key: &str) -> Result<String, String> {
+    match field(fields, key)? {
+        Value::Str(s) => Ok(s.clone()),
+        _ => Err(format!("field `{key}` must be a string")),
     }
 }
 
-type Chars<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
-
-/// Parses one JSON document (the trace-line and report schema subset).
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut chars = text.char_indices().peekable();
-    let value = parse_json_value(text, &mut chars)?;
-    skip_ws(&mut chars);
-    if let Some((_, c)) = chars.next() {
-        return Err(format!("trailing content starting at `{c}`"));
-    }
-    Ok(value)
+fn f64_field(fields: &Fields, key: &str) -> Result<f64, String> {
+    field(fields, key)?
+        .as_f64()
+        .ok_or_else(|| format!("field `{key}` must be a number"))
 }
 
-fn skip_ws(chars: &mut Chars<'_>) {
-    while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
+fn u64_field(fields: &Fields, key: &str) -> Result<u64, String> {
+    count(field(fields, key)?).ok_or_else(|| format!("field `{key}` must be a non-negative number"))
 }
 
-fn parse_string(chars: &mut Chars<'_>) -> Result<String, String> {
-    match chars.next() {
-        Some((_, '"')) => {}
-        other => return Err(format!("expected string, found {other:?}")),
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some((_, '"')) => return Ok(out),
-            Some((_, '\\')) => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '/')) => out.push('/'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'u')) => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let (_, h) = chars.next().ok_or("truncated \\u escape")?;
-                        code = code * 16
-                            + h.to_digit(16)
-                                .ok_or_else(|| format!("bad hex digit `{h}` in \\u escape"))?;
-                    }
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some((_, c)) => out.push(c),
-            None => return Err("unterminated string".to_owned()),
-        }
+/// A non-negative number as a count: an integer exactly, a float
+/// truncated (saturating past `u64::MAX`).
+fn count(value: &Value) -> Option<u64> {
+    value
+        .as_u64()
+        .or_else(|| value.as_f64().filter(|n| *n >= 0.0).map(|n| n as u64))
+}
+
+/// The array under `key`, or `None` when the key is absent.
+fn items<'v>(fields: &'v Fields, key: &str) -> Result<Option<&'v [Value]>, String> {
+    match find_field(fields, key) {
+        Some(Value::Array(items)) => Ok(Some(items)),
+        Some(_) => Err(format!("field `{key}` must be an array")),
+        None => Ok(None),
     }
 }
 
-/// Consumes an array or object: the opening bracket, then
-/// comma-separated `item`s up to `close`.
-fn parse_items(
-    chars: &mut Chars<'_>,
-    close: char,
-    mut item: impl FnMut(&mut Chars<'_>) -> Result<(), String>,
-) -> Result<(), String> {
-    chars.next();
-    skip_ws(chars);
-    if chars.next_if(|&(_, c)| c == close).is_some() {
-        return Ok(());
-    }
-    loop {
-        item(chars)?;
-        skip_ws(chars);
-        match chars.next() {
-            Some((_, ',')) => {}
-            Some((_, c)) if c == close => return Ok(()),
-            other => return Err(format!("expected `,` or `{close}`, found {other:?}")),
-        }
-    }
+fn entries<'v>(fields: &'v Fields, key: &str) -> Result<&'v Fields, String> {
+    field(fields, key)?
+        .as_object()
+        .ok_or_else(|| format!("field `{key}` must be an object"))
 }
 
-fn parse_json_value(text: &str, chars: &mut Chars<'_>) -> Result<Json, String> {
-    skip_ws(chars);
-    match chars.peek() {
-        Some((_, '"')) => Ok(Json::Str(parse_string(chars)?)),
-        Some((_, '{')) => {
-            let mut fields = Vec::new();
-            parse_items(chars, '}', |chars| {
-                skip_ws(chars);
-                let key = parse_string(chars)?;
-                skip_ws(chars);
-                match chars.next() {
-                    Some((_, ':')) => {}
-                    other => return Err(format!("expected `:` after key, found {other:?}")),
-                }
-                fields.push((key, parse_json_value(text, chars)?));
-                Ok(())
-            })?;
-            Ok(Json::Obj(fields))
-        }
-        Some((_, '[')) => {
-            let mut items = Vec::new();
-            parse_items(chars, ']', |chars| {
-                items.push(parse_json_value(text, chars)?);
-                Ok(())
-            })?;
-            Ok(Json::Arr(items))
-        }
-        Some(&(start, c)) if c == '-' || c.is_ascii_digit() => {
-            let mut end = start;
-            while let Some(&(i, c)) = chars.peek() {
-                if c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E' || c.is_ascii_digit() {
-                    end = i + c.len_utf8();
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            let number = &text[start..end];
-            Ok(Json::Num(
-                number
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad number `{number}`"))?,
-            ))
-        }
-        other => Err(format!("unsupported value start {other:?}")),
-    }
+/// The fields of `value`; none when it is not an object.
+fn fields_of(value: &Value) -> &Fields {
+    value.as_object().unwrap_or_default()
 }
 
 /// Parses one JSON-lines trace event.
@@ -220,37 +90,31 @@ fn parse_json_value(text: &str, chars: &mut Chars<'_>) -> Result<Json, String> {
 /// Returns the structural or schema problem as a message (the caller adds
 /// the line number).
 pub fn parse_event(line: &str) -> Result<Event, String> {
-    let event = parse_json(line)?;
-    match &event {
-        Json::Obj(fields) => {
-            if let Some((key, _)) = fields
-                .iter()
-                .find(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)))
-            {
-                return Err(format!("field `{key}` must be a string or a number"));
-            }
-        }
-        _ => return Err("expected `{`".to_owned()),
+    let event: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    let event = event.as_object().ok_or("expected `{`")?;
+    let flat = |v: &Value| matches!(v, Value::Str(_)) || v.as_f64().is_some();
+    if let Some((key, _)) = event.iter().find(|(_, v)| !flat(v)) {
+        return Err(format!("field `{key}` must be a string or a number"));
     }
-    match event.str_of("type")?.as_str() {
+    match str_field(event, "type")?.as_str() {
         "span" => Ok(Event::Span {
-            id: event.u64_of("id")?,
-            parent: event.u64_of("parent")?,
-            name: event.str_of("name")?,
-            detail: event.str_of("detail").unwrap_or_default(),
-            thread: event.str_of("thread")?,
-            start_us: event.u64_of("start_us")?,
-            dur_us: event.u64_of("dur_us")?,
+            id: u64_field(event, "id")?,
+            parent: u64_field(event, "parent")?,
+            name: str_field(event, "name")?,
+            detail: str_field(event, "detail").unwrap_or_default(),
+            thread: str_field(event, "thread")?,
+            start_us: u64_field(event, "start_us")?,
+            dur_us: u64_field(event, "dur_us")?,
         }),
         "counter" => Ok(Event::Counter {
-            name: event.str_of("name")?,
-            value: event.u64_of("value")?,
-            thread: event.str_of("thread")?,
+            name: str_field(event, "name")?,
+            value: u64_field(event, "value")?,
+            thread: str_field(event, "thread")?,
         }),
         "metric" => Ok(Event::Metric {
-            name: event.str_of("name")?,
-            value: event.f64_of("value")?,
-            thread: event.str_of("thread")?,
+            name: str_field(event, "name")?,
+            value: f64_field(event, "value")?,
+            thread: str_field(event, "thread")?,
         }),
         other => Err(format!("unknown event type `{other}`")),
     }
@@ -502,59 +366,61 @@ impl PerfReport {
     ///
     /// Returns the structural or schema problem as a message.
     pub fn from_json(text: &str) -> Result<PerfReport, String> {
-        let root = parse_json(text)?;
-        let stages = root
-            .items("stages")?
+        let root: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        let root = fields_of(&root);
+        let stages = items(root, "stages")?
             .ok_or("missing field `stages`")?
             .iter()
             .map(|item| {
+                let item = fields_of(item);
                 Ok(StageSummary {
-                    name: item.str_of("name")?,
-                    count: item.u64_of("count")?,
-                    total_us: item.u64_of("total_us")?,
-                    self_us: item.u64_of("self_us")?,
+                    name: str_field(item, "name")?,
+                    count: u64_field(item, "count")?,
+                    total_us: u64_field(item, "total_us")?,
+                    self_us: u64_field(item, "self_us")?,
                 })
             })
             .collect::<Result<_, String>>()?;
         // Optional: baselines predating serve-mode carry no latency rows.
-        let latencies = root
-            .items("latencies")?
+        let latencies = items(root, "latencies")?
             .unwrap_or_default()
             .iter()
             .map(|item| {
-                let rps = item.f64_of("rps")?;
+                let item = fields_of(item);
+                let rps = f64_field(item, "rps")?;
                 if rps < 0.0 {
                     return Err("field `rps` must be a non-negative number".to_owned());
                 }
                 Ok(LatencySummary {
-                    name: item.str_of("name")?,
-                    count: item.u64_of("count")?,
-                    p50_us: item.u64_of("p50_us")?,
-                    p99_us: item.u64_of("p99_us")?,
+                    name: str_field(item, "name")?,
+                    count: u64_field(item, "count")?,
+                    p50_us: u64_field(item, "p50_us")?,
+                    p99_us: u64_field(item, "p99_us")?,
                     rps,
                 })
             })
             .collect::<Result<_, String>>()?;
-        let counters = root
-            .entries("counters")?
+        let counters = entries(root, "counters")?
             .iter()
-            .map(|(name, value)| match value {
-                Json::Num(n) if *n >= 0.0 => Ok((name.clone(), *n as u64)),
-                _ => Err(format!("counter `{name}` must be a non-negative number")),
+            .map(|(name, value)| {
+                count(value)
+                    .map(|n| (name.clone(), n))
+                    .ok_or_else(|| format!("counter `{name}` must be a non-negative number"))
             })
             .collect::<Result<_, String>>()?;
-        let metrics = root
-            .entries("metrics")?
+        let metrics = entries(root, "metrics")?
             .iter()
-            .map(|(name, value)| match value {
-                Json::Num(n) => Ok((name.clone(), *n)),
-                _ => Err(format!("metric `{name}` must be a number")),
+            .map(|(name, value)| {
+                value
+                    .as_f64()
+                    .map(|n| (name.clone(), n))
+                    .ok_or_else(|| format!("metric `{name}` must be a number"))
             })
             .collect::<Result<_, String>>()?;
         Ok(PerfReport {
-            label: root.str_of("label")?,
-            wall_us: root.u64_of("wall_us")?,
-            work_us: root.u64_of("work_us")?,
+            label: str_field(root, "label")?,
+            wall_us: u64_field(root, "wall_us")?,
+            work_us: u64_field(root, "work_us")?,
             stages,
             latencies,
             counters,
@@ -950,6 +816,8 @@ mod tests {
             "{\"type\":\"mystery\",\"name\":\"x\",\"thread\":\"t\"}",
             "{\"type\":\"counter\",\"name\":\"c\",\"value\":\"NaN\",\"thread\":\"t\"}",
             "{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"thread\":\"t\"} trailing",
+            "{\"type\":\"counter\",\"name\":\"c\",\"value\":true,\"thread\":\"t\"}",
+            "{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"thread\":\"t\",\"x\":null}",
         ] {
             assert!(parse_event(bad).is_err(), "accepted: {bad}");
         }
@@ -1105,6 +973,23 @@ mod tests {
             "[{\"type\":\"counter\",\"name\":\"c\",\"value\":1,\"thread\":\"t\"}]",
         ] {
             assert!(parse_event(nested).is_err(), "accepted: {nested}");
+        }
+    }
+
+    #[test]
+    fn whole_metrics_past_64_bits_round_trip() {
+        // `format_f64` prints these as integer literals wider than u64.
+        for value in [1e20, -1e20, 18_446_744_073_709_551_616.0] {
+            let event = Event::Metric {
+                name: "m".to_owned(),
+                value,
+                thread: "main".to_owned(),
+            };
+            let line = event.to_json_line();
+            assert_eq!(parse_event(&line), Ok(event), "line: {line}");
+            let mut report = fold(&[], "t");
+            report.metrics.insert("m".to_owned(), value);
+            assert_eq!(PerfReport::from_json(&report.to_json()), Ok(report));
         }
     }
 

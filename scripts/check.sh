@@ -75,4 +75,13 @@ if tr -d '[:space:]' < crates/maestro/src/serve.rs | grep -qE '\.lock\(\)\.(expe
     exit 1
 fi
 
+echo "==> one .mnl module cutter in the product"
+# mnl::split_design is a second, line-based cutter, kept only as the
+# benchmark's reference. Product code cuts with mnl::chunks, which cuts
+# exactly where the parser would, so every front end reads a design alike.
+if grep -rl --include='*.rs' 'split_design(' crates/*/src | grep -vx 'crates/netlist/src/mnl.rs'; then
+    echo "error: split_design( used outside crates/netlist/src/mnl.rs (cut with mnl::chunks)" >&2
+    exit 1
+fi
+
 echo "==> tier-1 gate passed"

@@ -1108,6 +1108,25 @@ impl Drop for Daemon {
 }
 
 #[test]
+fn serve_socket_leaves_a_regular_file_at_its_path_alone() {
+    let dir = scratch_dir("serve-socket-file");
+    let file = dir.join("precious.txt");
+    std::fs::write(&file, "keep me").expect("the file is written");
+    let out = cli()
+        .args(["serve", "--socket"])
+        .arg(&file)
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert_eq!(std::fs::read(&file).expect("the file is kept"), b"keep me");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn serve_socket_answers_an_estimate_and_exits_on_shutdown() {
     use maestro::estimator::request::{EstimateRequest, Request, RequestCall, Response};
     use std::io::{BufRead, BufReader, Read, Write};

@@ -1,8 +1,8 @@
 //! The unix-socket front end (`serve_socket`) end to end: connections
 //! served as they arrive, shutdown with idle and busy connections open,
-//! the connection cap, and the tally. Each server runs on its own thread
-//! and is joined under a deadline, so a hang fails the test instead of
-//! stalling the suite.
+//! the connection cap, the tally, and start-up on a path that is taken.
+//! Each server runs on its own thread and is joined under a deadline, so
+//! a hang fails the test instead of stalling the suite.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -19,6 +19,29 @@ use maestro::serve::{serve_socket, ServeSummary, Session, MAX_CONNECTIONS};
 /// How long any wait in these tests may take before it counts as a hang.
 const DEADLINE: Duration = Duration::from_secs(10);
 
+/// The socket path of one test.
+fn socket_path(test: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("maestro-serve-{test}-{}.sock", std::process::id()))
+}
+
+/// A session over caches of its own.
+fn session() -> Session {
+    Session::with_caches(Arc::new(StatsCache::new()), Arc::new(ProbTable::new()))
+}
+
+/// A `serve_socket` call at `path` that must fail at start-up: its
+/// error, or a panic once the deadline passes.
+fn start_up_error(path: &std::path::Path) -> std::io::Error {
+    let (tx, done) = mpsc::channel();
+    let path = path.to_owned();
+    std::thread::spawn(move || {
+        let _ = tx.send(serve_socket(&session(), &path, 1));
+    });
+    done.recv_timeout(DEADLINE)
+        .expect("serve_socket returns before the deadline")
+        .expect_err("serve_socket refuses the path")
+}
+
 /// One `serve_socket` call on its own thread.
 struct Server {
     path: PathBuf,
@@ -32,14 +55,11 @@ impl Server {
     }
 
     fn start_with_jobs(test: &str, jobs: usize) -> Server {
-        let path =
-            std::env::temp_dir().join(format!("maestro-serve-{test}-{}.sock", std::process::id()));
+        let path = socket_path(test);
         let (tx, done) = mpsc::channel();
         let served = path.clone();
         let thread = std::thread::spawn(move || {
-            let session =
-                Session::with_caches(Arc::new(StatsCache::new()), Arc::new(ProbTable::new()));
-            let _ = tx.send(serve_socket(&session, &served, jobs));
+            let _ = tx.send(serve_socket(&session(), &served, jobs));
         });
         Server { path, done, thread }
     }
@@ -293,4 +313,50 @@ fn the_summary_counts_the_responses_of_every_connection() {
             shutdown: true,
         }
     );
+}
+
+#[test]
+fn a_second_daemon_on_a_live_path_fails_and_leaves_the_first_serving() {
+    let server = Server::start("live");
+    let mut client = server.connect();
+    let err = start_up_error(&server.path);
+    assert_eq!(err.kind(), ErrorKind::AddrInUse, "{err}");
+    assert!(
+        err.to_string().starts_with("a daemon is already serving"),
+        "{err}"
+    );
+    assert!(client.request(&estimate("e1")).is_ok());
+    let mut later = server.connect();
+    assert!(later.request(&estimate("e2")).is_ok());
+    assert_eq!(later.request(&shutdown("bye")).id, "bye");
+    // The second daemon's probe was an empty connection: no response.
+    let summary = server.join();
+    assert_eq!(summary.requests, 3);
+    assert_eq!(summary.errors, 0);
+}
+
+#[test]
+fn a_stale_socket_file_is_replaced() {
+    let path = socket_path("stale");
+    let _ = std::fs::remove_file(&path);
+    drop(UnixListener::bind(&path).expect("a listener binds the path"));
+    assert!(path.exists(), "the dropped listener leaves its file");
+    let server = Server::start("stale");
+    let mut client = server.connect();
+    assert!(client.request(&estimate("e1")).is_ok());
+    assert_eq!(client.request(&shutdown("bye")).id, "bye");
+    assert_eq!(server.join().requests, 2);
+}
+
+#[test]
+fn a_regular_file_at_the_path_is_left_alone() {
+    let path = socket_path("regular");
+    std::fs::write(&path, "keep me").expect("the file is written");
+    let err = start_up_error(&path);
+    assert_eq!(err.kind(), ErrorKind::AlreadyExists, "{err}");
+    assert_eq!(
+        std::fs::read(&path).expect("the file is still there"),
+        b"keep me"
+    );
+    std::fs::remove_file(&path).expect("the file is removed");
 }
