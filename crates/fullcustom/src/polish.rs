@@ -220,7 +220,8 @@ impl DeltaEval {
 
     /// Delta-updates after `expr` changed within element positions
     /// `lo..=hi` (inclusive): recomputes the covering subtree's
-    /// dimensions, then re-derives origins only where they moved.
+    /// dimensions from `lo` on, then re-derives origins only where they
+    /// moved.
     ///
     /// # Panics
     ///
@@ -241,16 +242,18 @@ impl DeltaEval {
     }
 
     /// Recomputes placements below `result.anchor`, skipping subtrees
-    /// whose origin is unchanged and whose span the move did not touch.
+    /// whose origin is unchanged and which the re-parse did not reach: a
+    /// subtree wholly after it, or one rooted before its first position
+    /// (and so wholly before it).
     fn replace_from(&mut self, expr: &PolishExpr, result: UpdateResult) {
         self.changed_tiles.clear();
         let anchor = result.anchor;
-        let (s, e) = result.span;
+        let (lo, e) = result.span;
         self.descent.clear();
         self.descent
             .push((anchor, self.ox[anchor as usize], self.oy[anchor as usize]));
         while let Some((p, x, y)) = self.descent.pop() {
-            let untouched = self.post.span_start(p) > e || p < s;
+            let untouched = self.post.span_start(p) > e || p < lo;
             if untouched && self.ox[p as usize] == x && self.oy[p as usize] == y {
                 continue;
             }

@@ -188,13 +188,16 @@ struct SynthState<'m> {
     tile_nets: Vec<Vec<u32>>,
     /// Cached per-net HPWL contributions, in module net order.
     net_hpwl: Vec<f64>,
+    /// Running sum of `net_hpwl`, exact (see [`SynthState::delta_cost`]).
+    hpwl_total: f64,
     /// Scratch: dirty flags + list of nets touched by the current move.
     net_dirty: Vec<bool>,
     dirty_nets: Vec<u32>,
     /// Journal of `(net, previous HPWL)` overwritten by the current move.
     undo_hpwl: Vec<(u32, f64)>,
-    /// Pre-move cost snapshot for O(1) restore on revert.
+    /// Pre-move cost and HPWL total snapshots for O(1) restore on revert.
     snap_cost: f64,
+    snap_hpwl: f64,
     undo: Option<Move>,
     evals_full: u64,
     evals_delta: u64,
@@ -265,16 +268,15 @@ impl SynthState<'_> {
         (max_x - min_x) + (max_y - min_y)
     }
 
-    /// Cost from the cached per-net HPWLs. Summing every entry in net
-    /// order (two-pin-less nets hold +0.0) reproduces the reference
-    /// accumulation bit-for-bit.
+    /// Cost from the running HPWL total, which equals the reference's
+    /// ordered sum bit for bit. Tile corners and sizes are integer λ, so
+    /// every centre, net HPWL and `fresh − old` step is a multiple of
+    /// 0.5 λ; while the total stays below 2^52 λ (far above any layout
+    /// here) every partial sum is exact in any order, and two-pin-less
+    /// nets add +0.0.
     fn delta_cost(&self) -> f64 {
-        let mut hpwl = 0.0f64;
-        for &h in &self.net_hpwl {
-            hpwl += h;
-        }
         self.box_cost(self.eval.width(), self.eval.height(), self.eval.area())
-            + self.wire_weight * hpwl
+            + self.wire_weight * self.hpwl_total
     }
 
     /// Full re-evaluation, in whichever representation the mode uses.
@@ -287,10 +289,13 @@ impl SynthState<'_> {
             }
             EvalMode::Delta => {
                 self.eval.rebuild(&self.expr, &self.tiles);
+                let mut total = 0.0f64;
                 for k in 0..self.net_hpwl.len() {
                     let v = self.net_contribution(k);
                     self.net_hpwl[k] = v;
+                    total += v;
                 }
+                self.hpwl_total = total;
                 self.cached_cost = self.delta_cost();
             }
         }
@@ -318,6 +323,7 @@ impl SynthState<'_> {
             self.net_dirty[k] = false;
             let fresh = self.net_contribution(k);
             let old = std::mem::replace(&mut self.net_hpwl[k], fresh);
+            self.hpwl_total += fresh - old;
             self.undo_hpwl.push((k as u32, old));
         }
         self.cached_cost = self.delta_cost();
@@ -357,6 +363,7 @@ impl AnnealState for SynthState<'_> {
                     mv => mv.span(),
                 };
                 self.snap_cost = self.cached_cost;
+                self.snap_hpwl = self.hpwl_total;
                 match span {
                     Some((lo, hi)) => self.apply_delta(lo, hi),
                     None => {
@@ -382,6 +389,7 @@ impl AnnealState for SynthState<'_> {
                 for (k, v) in self.undo_hpwl.drain(..).rev() {
                     self.net_hpwl[k as usize] = v;
                 }
+                self.hpwl_total = self.snap_hpwl;
                 self.cached_cost = self.snap_cost;
             }
         }
@@ -511,10 +519,12 @@ fn synthesize_with_seed(
         net_comps,
         tile_nets,
         net_hpwl: vec![0.0; net_count],
+        hpwl_total: 0.0,
         net_dirty: vec![false; net_count],
         dirty_nets: Vec::new(),
         undo_hpwl: Vec::new(),
         snap_cost: 0.0,
+        snap_hpwl: 0.0,
         undo: None,
         evals_full: 0,
         evals_delta: 0,

@@ -852,4 +852,29 @@ mod tests {
         });
         assert!(slots.take(&stream).expect("stream clones").is_some());
     }
+
+    #[test]
+    fn an_id_escaped_as_a_surrogate_pair_is_answered_and_a_lone_half_is_not() {
+        let session = Session::with_caches(Arc::new(StatsCache::new()), Arc::new(ProbTable::new()));
+        let input = concat!(
+            r#"{"id":"\ud83d\ude00","kind":"cache-stats"}"#,
+            "\n",
+            r#"{"id":"\ud83d","kind":"cache-stats"}"#,
+            "\n",
+        );
+        let mut output = Vec::new();
+        serve_lines(&session, input.as_bytes(), &mut output, 1).expect("serves");
+        let output = String::from_utf8(output).expect("utf-8 responses");
+        let responses: Vec<Response> = output
+            .lines()
+            .map(|line| Response::parse(line).expect("a response line"))
+            .collect();
+        assert_eq!(responses.len(), 2, "{output}");
+        assert_eq!(responses[0].id, "\u{1F600}");
+        assert!(responses[0].is_ok(), "{:?}", responses[0]);
+        assert_eq!(
+            responses[1].result,
+            Err("bad request: invalid \\u code point at byte 13".to_owned())
+        );
+    }
 }

@@ -211,6 +211,8 @@ struct PlaceState {
     row_width: Vec<i64>,
     /// Cached per-net HPWL contributions, in net order (delta mode).
     net_hpwl: Vec<f64>,
+    /// Running sum of `net_hpwl`, exact (see [`PlaceState::delta_cost`]).
+    hpwl_total: f64,
     /// Nets with ≥ 2 pins incident to each device.
     dev_nets: Vec<Vec<u32>>,
     /// Scratch: dirty flags + list of nets touched by the current move.
@@ -220,8 +222,9 @@ struct PlaceState {
     undo_x: Vec<(u32, f64)>,
     undo_hpwl: Vec<(u32, f64)>,
     undo_roww: Vec<(u32, i64)>,
-    /// Pre-move cost snapshot for O(1) restore on revert.
+    /// Pre-move cost and HPWL total snapshots for O(1) restore on revert.
     snap_cost: f64,
+    snap_hpwl: f64,
     undo: Option<UndoMove>,
     evals_full: u64,
     evals_delta: u64,
@@ -302,20 +305,19 @@ impl PlaceState {
         (max_x - min_x) + (max_y - min_y)
     }
 
-    /// Cost from the cached per-net HPWLs and row widths. Summing in net
-    /// and row order reproduces the reference accumulation bit-for-bit
-    /// (two-pin-less nets hold +0.0).
+    /// Cost from the running HPWL total and the cached row widths, equal
+    /// to the reference accumulation bit for bit. Cell widths and the row
+    /// pitch are integer λ, so every centre, net HPWL and `fresh − old`
+    /// step is a multiple of 0.5 λ; while the total stays below 2^52 λ
+    /// (far above any placement here) every partial sum is exact in any
+    /// order, and two-pin-less nets add +0.0. Rows sum in row order.
     fn delta_cost(&self) -> f64 {
-        let mut hpwl = 0.0;
-        for &h in &self.net_hpwl {
-            hpwl += h;
-        }
         let balance: f64 = self
             .row_width
             .iter()
             .map(|&w| (w as f64 - self.target_row_width).abs())
             .sum();
-        hpwl + self.balance_weight * balance
+        self.hpwl_total + self.balance_weight * balance
     }
 
     /// Full re-evaluation, in whichever representation the mode uses.
@@ -328,10 +330,13 @@ impl PlaceState {
                 for r in 0..self.rows.len() {
                     self.row_width[r] = self.rows[r].iter().map(|&d| self.widths[d as usize]).sum();
                 }
+                let mut total = 0.0f64;
                 for k in 0..self.net_hpwl.len() {
                     let v = self.net_contribution(k);
                     self.net_hpwl[k] = v;
+                    total += v;
                 }
+                self.hpwl_total = total;
                 self.cached_cost = self.delta_cost();
                 // A rebuild is not revertible.
                 self.undo_x.clear();
@@ -351,12 +356,21 @@ impl PlaceState {
         }
     }
 
-    /// Recomputes one row's x prefix (journaling overwrites and marking
-    /// moved cells' nets) and its cached width.
-    fn recompute_row(&mut self, r: u32) {
-        let mut acc = 0.0f64;
-        let mut wsum = 0i64;
-        for i in 0..self.rows[r as usize].len() {
+    /// Recomputes one row's x prefix from index `from` on (journaling
+    /// overwrites and marking moved cells' nets) and its cached width.
+    /// Cells before `from` did not move, so the prefix sum resumes at the
+    /// previous cell's right edge, `x + w/2`: integer widths keep every
+    /// term a multiple of 0.5, so that is exactly the sum of the widths
+    /// before `from`, and the final sum is exactly the row width.
+    fn recompute_row(&mut self, r: u32, from: usize) {
+        let mut acc = match from.checked_sub(1) {
+            Some(prev) => {
+                let d = self.rows[r as usize][prev] as usize;
+                self.x[d] + self.widths[d] as f64 / 2.0
+            }
+            None => 0.0f64,
+        };
+        for i in from..self.rows[r as usize].len() {
             let d = self.rows[r as usize][i] as usize;
             let w = self.widths[d] as f64;
             let nx = acc + w / 2.0;
@@ -366,25 +380,29 @@ impl PlaceState {
                 self.mark_device(d as u32);
             }
             acc += w;
-            wsum += self.widths[d];
         }
+        let wsum = acc as i64;
         if wsum != self.row_width[r as usize] {
             self.undo_roww
                 .push((r, std::mem::replace(&mut self.row_width[r as usize], wsum)));
         }
     }
 
-    /// Delta re-evaluation after a move that touched `touched_rows` and
-    /// moved `moved` devices (either list may repeat an entry).
-    fn apply_delta(&mut self, touched_rows: [u32; 2], moved: [u32; 2]) {
+    /// Delta re-evaluation after a move that rewrote `touched` rows from
+    /// the given cell indices on, and moved `moved` devices (either list
+    /// may repeat an entry).
+    fn apply_delta(&mut self, touched: [(u32, usize); 2], moved: [u32; 2]) {
         self.evals_delta += 1;
         self.undo_x.clear();
         self.undo_hpwl.clear();
         self.undo_roww.clear();
         self.dirty_nets.clear();
-        self.recompute_row(touched_rows[0]);
-        if touched_rows[1] != touched_rows[0] {
-            self.recompute_row(touched_rows[1]);
+        let [(ra, ia), (rb, ib)] = touched;
+        if ra == rb {
+            self.recompute_row(ra, ia.min(ib));
+        } else {
+            self.recompute_row(ra, ia);
+            self.recompute_row(rb, ib);
         }
         // Moved devices may keep their x (equal-width swap) but still
         // change row — their nets are always dirty.
@@ -397,6 +415,7 @@ impl PlaceState {
             self.net_dirty[k] = false;
             let fresh = self.net_contribution(k);
             let old = std::mem::replace(&mut self.net_hpwl[k], fresh);
+            self.hpwl_total += fresh - old;
             self.undo_hpwl.push((k as u32, old));
         }
         self.cached_cost = self.delta_cost();
@@ -410,7 +429,7 @@ impl AnnealState for PlaceState {
 
     fn propose_and_apply(&mut self, rng: &mut StdRng) -> f64 {
         let n = self.widths.len() as u32;
-        let (touched_rows, moved);
+        let (touched, moved);
         if rng.gen_bool(0.5) || self.rows.len() == 1 {
             // Swap two distinct devices.
             let a = rng.gen_range(0..n);
@@ -432,7 +451,7 @@ impl AnnealState for PlaceState {
             self.row_of[a as usize] = rb;
             self.row_of[b as usize] = ra;
             self.undo = Some(UndoMove::Swap { a, b });
-            touched_rows = [ra, rb];
+            touched = [(ra, ia), (rb, ib)];
             moved = [a, b];
         } else {
             // Relocate a device to a random position in a random row.
@@ -452,14 +471,15 @@ impl AnnealState for PlaceState {
                 row: from_row,
                 index: from_idx,
             });
-            touched_rows = [from_row, to_row];
+            touched = [(from_row, from_idx), (to_row, to_idx)];
             moved = [d, d];
         }
         match self.mode {
             EvalMode::Full => self.refresh_cost(),
             EvalMode::Delta => {
                 self.snap_cost = self.cached_cost;
-                self.apply_delta(touched_rows, moved);
+                self.snap_hpwl = self.hpwl_total;
+                self.apply_delta(touched, moved);
             }
         }
         self.cached_cost
@@ -505,6 +525,7 @@ impl AnnealState for PlaceState {
                 for (r, v) in self.undo_roww.drain(..).rev() {
                     self.row_width[r as usize] = v;
                 }
+                self.hpwl_total = self.snap_hpwl;
                 self.cached_cost = self.snap_cost;
             }
         }
@@ -624,6 +645,7 @@ fn place_with(
         x: Vec::new(),
         row_width: vec![0; row_count],
         net_hpwl: vec![0.0; net_count],
+        hpwl_total: 0.0,
         dev_nets,
         net_dirty: vec![false; net_count],
         dirty_nets: Vec::new(),
@@ -631,6 +653,7 @@ fn place_with(
         undo_hpwl: Vec::new(),
         undo_roww: Vec::new(),
         snap_cost: 0.0,
+        snap_hpwl: 0.0,
         undo: None,
         evals_full: 0,
         evals_delta: 0,

@@ -11,12 +11,18 @@
 //! that range is the only part of the tree whose values can change.
 //!
 //! [`IncrementalPostfix`] maintains the parse (children, parent and
-//! span-start links) and the per-node values, re-parses just the covering
-//! subtree on [`IncrementalPostfix::update`], propagates values up the
-//! parent chain until they stop changing, and journals every overwrite so
+//! span-start links) and the per-node values. On
+//! [`IncrementalPostfix::update`] it re-parses the covering subtree from
+//! the move's first rewritten position only: nothing before that position
+//! changed, so neither did any subtree ending there, and the parse stack
+//! at that position is rebuilt from the span-start links rather than by
+//! re-parsing. It then propagates values up the parent chain until they
+//! stop changing, and journals every overwrite so
 //! [`IncrementalPostfix::revert`] restores the pre-move state in time
 //! proportional to what the move touched — never a second full
-//! evaluation.
+//! evaluation. On the left-deep trees both annealers settle into, the
+//! covering subtree almost always starts at position 0, so re-parsing it
+//! whole would cost the expression's length per move.
 //!
 //! Values are pure functions of the leaf values below them, so a delta
 //! update is *bit-identical* to a full rebuild: cached nodes hold exactly
@@ -353,8 +359,10 @@ const NONE: u32 = u32::MAX;
 /// maintain derived per-leaf state (e.g. placements).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpdateResult {
-    /// Smallest subtree covering the changed tokens, as an inclusive
-    /// position range `(start, op)`.
+    /// The re-parsed positions, as an inclusive range `(lo, op)`: from
+    /// the move's first rewritten position `lo` to the root `op` of the
+    /// smallest subtree covering the move. Every node before `lo` has its
+    /// whole subtree before `lo`, and kept its value and children.
     pub span: (u32, u32),
     /// Position to re-derive downstream state from: the lowest ancestor
     /// of the span whose value (and therefore origin, for placement-like
@@ -481,7 +489,8 @@ impl<V: Clone + PartialEq> IncrementalPostfix<V> {
 
     /// Delta-evaluates after the caller changed elements (or leaf inputs)
     /// within positions `lo..=hi`: re-parses the smallest subtree
-    /// covering the range and propagates values upward until unchanged.
+    /// covering the range from `lo` on, and propagates values upward
+    /// until unchanged.
     ///
     /// Requirements, satisfied by the Wong–Liu move set: element changes
     /// preserve the operand/operator *type multiset* within `lo..=hi`
@@ -536,8 +545,8 @@ impl<V: Clone + PartialEq> IncrementalPostfix<V> {
                 let e = found.expect("a valid expression's root covers any range");
                 let s = self.start[e] as usize;
                 debug_assert!(s <= lo);
-                self.reparse_span(elems, &leaf, &comb, s, e);
-                (s, e)
+                self.reparse_from(elems, &leaf, &comb, s, lo, e);
+                (lo, e)
             }
         };
 
@@ -568,24 +577,35 @@ impl<V: Clone + PartialEq> IncrementalPostfix<V> {
         }
     }
 
-    /// Re-parses positions `s..=e` (one complete subtree), journaling
-    /// every overwritten value and link.
-    fn reparse_span(
+    /// Re-parses positions `lo..=e` of the complete subtree `s..=e`,
+    /// journaling every overwritten value and link.
+    ///
+    /// Positions before `lo` hold the same elements as before the move,
+    /// so the parse stack at `lo` is the roots of the complete subtrees
+    /// that tile `s..lo`: the subtree ending at `lo − 1`, then the one
+    /// ending just before its span start, and so on back to `s`. Those
+    /// roots' parent links are the only links before `lo` that the
+    /// re-parse can overwrite.
+    fn reparse_from(
         &mut self,
         elems: &[Elem],
         leaf: &impl Fn(u32) -> V,
         comb: &impl Fn(Cut, &V, &V) -> V,
         s: usize,
+        lo: usize,
         e: usize,
     ) {
         self.stack.clear();
-        for (p, &elem) in elems.iter().enumerate().take(e + 1).skip(s) {
-            self.undo_links.push(UndoLink {
-                pos: p as u32,
-                kids: self.kids[p],
-                parent: self.parent[p],
-                start: self.start[p],
-            });
+        let mut q = lo;
+        while q > s {
+            let root = q - 1;
+            self.undo_links.push(self.link(root));
+            self.stack.push(root as u32);
+            q = self.start[root] as usize;
+        }
+        self.stack.reverse();
+        for (p, &elem) in elems.iter().enumerate().take(e + 1).skip(lo) {
+            self.undo_links.push(self.link(p));
             match elem {
                 Elem::Operand(id) => {
                     self.undo_pos.push((id, self.pos_of[id as usize]));
@@ -621,6 +641,16 @@ impl<V: Clone + PartialEq> IncrementalPostfix<V> {
             "span reduces to one root"
         );
         self.stack.clear();
+    }
+
+    /// The parse links at position `p`, as the journal records them.
+    fn link(&self, p: usize) -> UndoLink {
+        UndoLink {
+            pos: p as u32,
+            kids: self.kids[p],
+            parent: self.parent[p],
+            start: self.start[p],
+        }
     }
 
     /// Restores the state before the most recent
@@ -818,37 +848,44 @@ mod tests {
     }
 
     /// Random Wong–Liu moves under both pick policies; after each move a
-    /// delta update must match a from-scratch rebuild, and a revert must
-    /// restore the previous state exactly.
+    /// delta update must match a from-scratch rebuild, re-parse from the
+    /// move's first rewritten position, and a revert must restore the
+    /// previous state exactly.
     #[test]
     fn update_and_revert_match_full_rebuild() {
-        let n = 13;
-        let dims = sizes(n);
-        for draw in [false, true] {
-            let mut expr = PolishExpr::initial(n);
-            let mut inc = full(&expr, &dims);
-            let mut rng = StdRng::seed_from_u64(7);
-            for step in 0..400 {
-                let at = format!("draw={draw} step {step}");
-                let reference_before = full(&expr, &dims);
-                let mv = apply(&mut expr, rng.gen_range(0..4), rng.gen_range(0..64), draw);
-                let (lo, hi) = match (mv, mv.span()) {
-                    (Move::Rotate(t), _) => {
-                        let p = inc.operand_pos(t as u32) as usize;
-                        (p, p)
+        for n in [1usize, 2, 3, 13, 40] {
+            let dims = sizes(n);
+            for draw in [false, true] {
+                let mut expr = PolishExpr::initial(n);
+                let mut inc = full(&expr, &dims);
+                let mut rng = StdRng::seed_from_u64(7);
+                for step in 0..400 {
+                    let at = format!("n={n} draw={draw} step {step}");
+                    let reference_before = full(&expr, &dims);
+                    let mv = apply(&mut expr, rng.gen_range(0..4), rng.gen_range(0..64), draw);
+                    let (lo, hi) = match (mv, mv.span()) {
+                        (Move::Rotate(t), _) => {
+                            let p = inc.operand_pos(t as u32) as usize;
+                            (p, p)
+                        }
+                        (_, Some(span)) => span,
+                        (_, None) => continue,
+                    };
+                    let result = inc.update(&expr.elems, leaf(&expr, &dims), comb, lo, hi);
+                    assert_same(&inc, &full(&expr, &dims), &at);
+                    assert_eq!(result.span.0, lo as u32, "{at}: re-parse starts at lo");
+                    let e = result.span.1;
+                    assert!(
+                        inc.span_start(e) <= lo as u32 && e >= hi as u32,
+                        "{at}: the re-parsed subtree covers the move"
+                    );
+                    if rng.gen_bool(0.5) {
+                        // Reject: undo the move, revert, and require an
+                        // exact restore.
+                        expr.undo(mv);
+                        inc.revert();
+                        assert_same(&inc, &reference_before, &format!("{at} revert"));
                     }
-                    (_, Some(span)) => span,
-                    (_, None) => continue,
-                };
-                let result = inc.update(&expr.elems, leaf(&expr, &dims), comb, lo, hi);
-                assert_same(&inc, &full(&expr, &dims), &at);
-                assert!(result.span.0 <= lo as u32 && result.span.1 >= hi as u32);
-                if rng.gen_bool(0.5) {
-                    // Reject: undo the move, revert, and require an exact
-                    // restore.
-                    expr.undo(mv);
-                    inc.revert();
-                    assert_same(&inc, &reference_before, &format!("{at} revert"));
                 }
             }
         }

@@ -994,6 +994,27 @@ mod tests {
     }
 
     #[test]
+    fn a_negative_zero_metric_round_trips_with_its_sign() {
+        // `format_f64` prints −0.0 as `-0`; `==` cannot tell the signs
+        // apart, so the sign bit is checked on its own.
+        let event = Event::Metric {
+            name: "m".to_owned(),
+            value: -0.0,
+            thread: "main".to_owned(),
+        };
+        let line = event.to_json_line();
+        assert!(line.contains("-0"), "{line}");
+        match parse_event(&line) {
+            Ok(Event::Metric { value, .. }) => assert!(value.is_sign_negative(), "{line}"),
+            other => panic!("{line} read as {other:?}"),
+        }
+        let mut report = fold(&[], "t");
+        report.metrics.insert("m".to_owned(), -0.0);
+        let back = PerfReport::from_json(&report.to_json()).expect("parses own output");
+        assert!(back.metrics["m"].is_sign_negative());
+    }
+
+    #[test]
     fn report_strings_are_escaped_and_round_trip() {
         let mut report = fold(&[span(1, 0, "stage \"q\"\u{1}", 0, 10)], "a\"b\u{1}");
         report.counters.insert("c\"\n".to_owned(), 3);
