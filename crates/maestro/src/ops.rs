@@ -17,7 +17,8 @@ use maestro_estimator::report::{EstimateRecord, ResultsDb};
 use maestro_floorplan::{backend, Block, Floorplan, PlanParams};
 use maestro_fullcustom::{synthesize, synthesize_seeded, SynthesisParams, WarmStore};
 use maestro_netlist::{
-    chip, expand, mnl, spice, LayoutStyle, Module, NetlistError, RevisionManifest, StatsCache,
+    chip, expand, mnl, spice, Fingerprinted, LayoutStyle, Module, NetlistError, RevisionManifest,
+    StatsCache,
 };
 use maestro_place::{place, PlaceParams};
 use maestro_route::route;
@@ -330,9 +331,27 @@ pub struct LayoutOutcome {
     pub svg: Option<String>,
 }
 
+/// How [`layout_module`] lays `module` out: by place & route
+/// ([`LayoutStyle::StandardCell`]) when the technology's cell tables
+/// resolve it, by full-custom synthesis otherwise. Only a full-custom
+/// layout reads a [`WarmStore`]; a standard-cell one ignores `warm`.
+///
+/// Probing via the resolve-once cache means `place` re-uses this very
+/// resolution instead of re-scanning the module.
+pub fn layout_style(
+    module: &Fingerprinted<'_>,
+    tech: &ProcessDb,
+    cache: &StatsCache,
+) -> LayoutStyle {
+    match cache.resolve_fingerprinted(module, tech, LayoutStyle::StandardCell) {
+        Ok(_) => LayoutStyle::StandardCell,
+        Err(_) => LayoutStyle::FullCustom,
+    }
+}
+
 /// Lays out one module — place & route for gate-level schematics,
-/// full-custom synthesis for transistor-level ones, decided by which
-/// technology table resolves — and renders the CLI summary line.
+/// full-custom synthesis for transistor-level ones, decided by
+/// [`layout_style`] — and renders the CLI summary line.
 ///
 /// With `warm`, full-custom synthesis seeds from the store's last winning
 /// solution for this module (keyed by name and technology revision) and
@@ -347,12 +366,7 @@ pub fn layout_module(
     want_svg: bool,
     warm: Option<&WarmStore>,
 ) -> Result<LayoutOutcome, String> {
-    // Probing via the resolve-once cache means `place` below re-uses
-    // this very resolution instead of re-scanning the module.
-    if cache
-        .resolve(module, tech, LayoutStyle::StandardCell)
-        .is_ok()
-    {
+    if layout_style(&Fingerprinted::new(module), tech, cache) == LayoutStyle::StandardCell {
         let rows = rows.unwrap_or(2);
         let placed = place(
             module,

@@ -47,13 +47,13 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 
 use maestro_estimator::pipeline::Pipeline;
 use maestro_estimator::prob::ProbTable;
-use maestro_estimator::request::{Request, RequestCall, Response};
+use maestro_estimator::request::{LayoutRequest, Request, RequestCall, Response};
 use maestro_estimator::results_cache::ResultsCache;
 use maestro_estimator::standard_cell::ScParams;
 use maestro_fullcustom::WarmStore;
 use maestro_netlist::{
-    content_hash128, mnl, BoundedMemo, CacheStats, MemoCounters, Module, RevisionManifest,
-    StatsCache,
+    content_hash128, mnl, BoundedMemo, CacheStats, Fingerprinted, LayoutStyle, MemoCounters,
+    Module, ModuleFingerprint, RevisionManifest, StatsCache,
 };
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
@@ -78,6 +78,10 @@ use crate::ops::{self, StreamItem};
 /// module's parse is cached by the hash of its text, so re-submitting a
 /// chip with one edited module re-parses one module, not the whole file.
 /// A chunk's errors are the CLI's, line for line.
+///
+/// A layout that reads no warm seed is answered from a layout memo after
+/// its first computation, keyed by module content, tech revision, `rows`
+/// and `replicas`; a warm full-custom layout is synthesized every time.
 pub struct Session {
     techs: Mutex<HashMap<String, Arc<ProcessDb>>>,
     stats: Arc<StatsCache>,
@@ -87,11 +91,27 @@ pub struct Session {
     prev: Mutex<Option<RevisionManifest>>,
     tech_reuse: AtomicU64,
     parsed: BoundedMemo<u128, Arc<Module>>,
+    layouts: BoundedMemo<LayoutKey, Result<String, String>>,
 }
 
 /// Parsed-module memo bound: ~10× the largest chip batch the bench
 /// drives, small enough that eviction never matters in practice.
 const PARSE_CACHE_CAPACITY: usize = 8192;
+
+/// The layout memo's key: everything the summary line of a layout that
+/// reads no warm seed depends on. The module fingerprint covers the
+/// module's name, which the line prints, and all of its content; the
+/// technology revision identifies the session's [`ProcessDb`] for a
+/// spec; `rows` and `replicas` come from the request, and every other
+/// placement and synthesis parameter is a default. `warm` is not in the
+/// key: a standard-cell layout ignores it, and a warm full-custom layout
+/// never reaches the memo.
+type LayoutKey = (ModuleFingerprint, u64, Option<u32>, u32);
+
+/// Layout memo bound. An entry is one module's summary line or error,
+/// ~100 bytes, so a full memo holds ~0.1 MB; the bench's two clients use
+/// 48 keys.
+const LAYOUT_CACHE_CAPACITY: usize = 1024;
 
 impl Default for Session {
     fn default() -> Self {
@@ -122,6 +142,14 @@ impl Session {
                 MemoCounters {
                     hits: Some("serve.parse.hits"),
                     misses: Some("serve.parse.misses"),
+                    evictions: None,
+                },
+            ),
+            layouts: BoundedMemo::new(
+                LAYOUT_CACHE_CAPACITY,
+                MemoCounters {
+                    hits: Some("serve.layout.hits"),
+                    misses: Some("serve.layout.misses"),
                     evictions: None,
                 },
             ),
@@ -239,19 +267,9 @@ impl Session {
             RequestCall::Layout(req) => {
                 let tech = self.tech(&req.tech)?;
                 let modules = self.gather_modules(&req.files, &req.mnl)?;
-                let warm = req.warm.then_some(&self.warm);
                 let mut out = String::new();
                 for module in &modules {
-                    let outcome = ops::layout_module(
-                        module,
-                        &tech,
-                        &self.stats,
-                        req.rows,
-                        req.replicas as usize,
-                        false,
-                        warm,
-                    )?;
-                    out.push_str(&outcome.summary);
+                    out.push_str(&self.layout(module, &tech, req)?);
                 }
                 Ok(out)
             }
@@ -269,6 +287,43 @@ impl Session {
                 }
             }
         }
+    }
+
+    /// One module's layout summary, as [`ops::layout_module`] renders it.
+    /// A full-custom layout with `"warm":true` reads and writes the warm
+    /// store, so it is synthesized every time. Every other layout reads
+    /// no warm seed and is a function of its [`LayoutKey`]: the layout
+    /// memo computes it once, outside every lock, and answers repeats
+    /// with the same line or the same error.
+    fn layout(
+        &self,
+        module: &Module,
+        tech: &ProcessDb,
+        req: &LayoutRequest,
+    ) -> Result<String, String> {
+        let keyed = Fingerprinted::new(module);
+        let lay_out = |warm| {
+            ops::layout_module(
+                module,
+                tech,
+                &self.stats,
+                req.rows,
+                req.replicas as usize,
+                false,
+                warm,
+            )
+            .map(|outcome| outcome.summary)
+        };
+        if req.warm && ops::layout_style(&keyed, tech, &self.stats) == LayoutStyle::FullCustom {
+            return lay_out(Some(&self.warm));
+        }
+        let key = (
+            keyed.fingerprint(),
+            tech.revision().id(),
+            req.rows,
+            req.replicas,
+        );
+        self.layouts.get_or_insert_with(key, || lay_out(None))
     }
 
     /// The warm tech DB for a spec, parsed on first use and shared by
@@ -304,8 +359,9 @@ impl Session {
     }
 
     /// The `cache-stats` payload: one fixed-order JSON object over the
-    /// session's resolve memo, result memo, parse memo, warm-seed store
-    /// and tech reuse counter.
+    /// session's resolve memo, result memo, parse memo and layout memo,
+    /// each as `{hits, misses, evictions, entries}`, then the warm-seed
+    /// store's size and the tech reuse counter.
     fn cache_stats_payload(&self) -> String {
         let memo = |s: CacheStats| {
             format!(
@@ -313,15 +369,13 @@ impl Session {
                 s.hits, s.misses, s.evictions, s.entries
             )
         };
-        let parse = self.parsed.stats();
         format!(
-            "{{\"resolve\":{},\"results\":{},\"parse\":{{\"hits\":{},\"misses\":{},\"entries\":{}}},\
+            "{{\"resolve\":{},\"results\":{},\"parse\":{},\"layouts\":{},\
              \"warm_seeds\":{},\"tech_reuse\":{}}}\n",
             memo(self.stats.stats()),
             memo(self.results.stats()),
-            parse.hits,
-            parse.misses,
-            parse.entries,
+            memo(self.parsed.stats()),
+            memo(self.layouts.stats()),
             self.warm.len(),
             self.tech_reuse.load(Ordering::Relaxed),
         )
@@ -749,6 +803,7 @@ impl Drop for Slot<'_> {
 mod tests {
     use super::*;
     use maestro_estimator::request::EstimateRequest;
+    use maestro_netlist::generate::{self, RandomLogicConfig};
 
     #[test]
     fn a_poisoned_tech_map_still_serves() {
@@ -827,6 +882,245 @@ mod tests {
         let hits = parse_hits(&session);
         assert_eq!(session.handle(&request).result, expected);
         assert_eq!(parse_hits(&session), hits + 3, "each module is a memo hit");
+    }
+
+    /// A gate-level module, placed and routed, and a transistor-level one,
+    /// synthesized: each lays out differently at one and two replicas.
+    fn layout_modules() -> (Module, Module) {
+        let gates = generate::random_logic(
+            1,
+            &RandomLogicConfig {
+                device_count: 12,
+                input_count: 4,
+                ..RandomLogicConfig::default()
+            },
+        );
+        (gates, generate::random_nmos_logic(1, 6))
+    }
+
+    fn layout_request(
+        modules: &[&Module],
+        tech: &str,
+        rows: Option<u32>,
+        replicas: u32,
+        warm: bool,
+    ) -> Request {
+        Request {
+            id: String::new(),
+            call: RequestCall::Layout(LayoutRequest {
+                files: Vec::new(),
+                mnl: modules.iter().map(|m| mnl::to_mnl(m)).collect(),
+                tech: tech.to_owned(),
+                rows,
+                replicas,
+                warm,
+            }),
+        }
+    }
+
+    /// Serves `log` through `session` with `jobs` workers under a trace
+    /// collector, numbering the requests; returns each request's result
+    /// in request order and the trace.
+    fn serve_log(
+        session: &Session,
+        log: &[Request],
+        jobs: usize,
+    ) -> (Vec<Result<String, String>>, Arc<trace::Collector>) {
+        let input: String = log
+            .iter()
+            .enumerate()
+            .map(|(i, request)| {
+                let numbered = Request {
+                    id: i.to_string(),
+                    call: request.call.clone(),
+                };
+                format!("{}\n", numbered.to_json_line())
+            })
+            .collect();
+        let collector = Arc::new(trace::Collector::new());
+        let mut output = Vec::new();
+        trace::with_sink(Arc::clone(&collector) as Arc<dyn trace::Sink>, || {
+            serve_lines(session, input.as_bytes(), &mut output, jobs).expect("serves")
+        });
+        let mut results = vec![None; log.len()];
+        for line in String::from_utf8(output).expect("utf-8").lines() {
+            let response = Response::parse(line).expect("a response line");
+            let i: usize = response.id.parse().expect("a numbered id");
+            results[i] = Some(response.result);
+        }
+        let results = results
+            .into_iter()
+            .map(|result| result.expect("every request answered"))
+            .collect();
+        (results, collector)
+    }
+
+    /// What the one-shot path answers to `log` in order: each module through
+    /// [`ops::layout_module`] on fresh caches, warm layouts reading and
+    /// writing one fresh [`WarmStore`]. Returns the payloads, the store's
+    /// size and the trace.
+    fn one_shot_layouts(
+        log: &[Request],
+    ) -> (Vec<Result<String, String>>, usize, Arc<trace::Collector>) {
+        let stats = StatsCache::new();
+        let store = WarmStore::new();
+        let techs: HashMap<&str, ProcessDb> = [
+            ("nmos", ops::load_tech("nmos").expect("a tech")),
+            ("cmos", ops::load_tech("cmos").expect("a tech")),
+        ]
+        .into();
+        let collector = Arc::new(trace::Collector::new());
+        let payloads = trace::with_sink(Arc::clone(&collector) as Arc<dyn trace::Sink>, || {
+            log.iter()
+                .map(|request| {
+                    let RequestCall::Layout(req) = &request.call else {
+                        unreachable!("a layout log")
+                    };
+                    let mut out = String::new();
+                    for source in &req.mnl {
+                        for module in ops::parse_inline_mnl(source)? {
+                            out.push_str(
+                                &ops::layout_module(
+                                    &module,
+                                    &techs[req.tech.as_str()],
+                                    &stats,
+                                    req.rows,
+                                    req.replicas as usize,
+                                    false,
+                                    req.warm.then_some(&store),
+                                )?
+                                .summary,
+                            );
+                        }
+                    }
+                    Ok(out)
+                })
+                .collect()
+        });
+        (payloads, store.len(), collector)
+    }
+
+    /// The `cache-stats` payload of `session`.
+    fn cache_stats(session: &Session) -> String {
+        let request = Request {
+            id: "c".to_owned(),
+            call: RequestCall::CacheStats,
+        };
+        session
+            .handle(&request)
+            .result
+            .expect("cache-stats answers")
+    }
+
+    /// The layout memo's hits and misses, read from the `cache-stats`
+    /// payload.
+    fn layout_counts(session: &Session) -> (u64, u64) {
+        let payload = cache_stats(session);
+        let (_, rest) = payload
+            .split_once("\"layouts\":{\"hits\":")
+            .expect("a layouts entry");
+        let (hits, rest) = rest.split_once(",\"misses\":").expect("a miss count");
+        let misses = &rest[..rest.find(',').expect("more fields")];
+        (
+            hits.parse().expect("a count"),
+            misses.parse().expect("a count"),
+        )
+    }
+
+    fn isolated_session() -> Session {
+        Session::with_caches(Arc::new(StatsCache::new()), Arc::new(ProbTable::new()))
+    }
+
+    #[test]
+    fn repeated_layouts_match_one_shot_and_only_warm_full_custom_ones_recompute() {
+        let (gates, transistors) = layout_modules();
+        let mut log = Vec::new();
+        for module in [&gates, &transistors] {
+            for replicas in [1, 2] {
+                for warm in [false, false, true, true] {
+                    log.push(layout_request(&[module], "nmos", None, replicas, warm));
+                }
+            }
+        }
+        for warm in [false, true] {
+            log.push(layout_request(
+                &[&gates, &transistors],
+                "nmos",
+                None,
+                1,
+                warm,
+            ));
+        }
+        let session = isolated_session();
+        let (served, trace) = serve_log(&session, &log, 1);
+        let (expected, warm_seeds, one_shot_trace) = one_shot_layouts(&log);
+        assert_eq!(served, expected);
+        // Each module lays out differently at two replicas, so a key
+        // without `replicas` would answer the second with the first.
+        assert_ne!(expected[0], expected[4]);
+        assert_ne!(expected[8], expected[12]);
+        // Misses: each module at each replica count. Hits: the gate-level
+        // module's other six layouts, warm ones included; each cold
+        // repeat of the transistor-level one; both modules of the cold
+        // pair and the gate-level one of the warm pair. The five warm
+        // full-custom layouts bypass the memo.
+        assert_eq!(layout_counts(&session), (6 + 2 + 2 + 1, 4));
+        assert_eq!(trace.counter_total("serve.layout.hits"), 11);
+        assert_eq!(trace.counter_total("serve.layout.misses"), 4);
+        let cache_stats = cache_stats(&session);
+        assert!(
+            cache_stats.contains(&format!("\"warm_seeds\":{warm_seeds},")),
+            "{cache_stats}"
+        );
+        let warm_starts = one_shot_trace.counter_total("fullcustom.warm_start");
+        assert!(warm_starts > 0);
+        assert_eq!(trace.counter_total("fullcustom.warm_start"), warm_starts);
+    }
+
+    #[test]
+    fn the_layout_key_covers_the_tech_revision_and_the_rows() {
+        let (gates, _) = layout_modules();
+        let variants = [("nmos", None), ("cmos", None), ("nmos", Some(3))];
+        let log: Vec<Request> = variants
+            .iter()
+            .chain(&variants)
+            .map(|&(tech, rows)| layout_request(&[&gates], tech, rows, 1, false))
+            .collect();
+        let session = isolated_session();
+        let (served, _) = serve_log(&session, &log, 1);
+        let (expected, _, _) = one_shot_layouts(&log);
+        assert_eq!(served, expected);
+        assert_ne!(expected[0], expected[1], "the techs lay it out alike");
+        assert_ne!(expected[0], expected[2], "the row counts lay it out alike");
+        assert_eq!(layout_counts(&session), (3, 3));
+    }
+
+    #[test]
+    fn a_failing_layout_fails_alike_every_time() {
+        // No cell or device template named `FOO`: neither style resolves.
+        let broken = "module broken;\ninput a;\noutput y;\ndevice u1 FOO (A=a, Y=y);\nendmodule\n";
+        let module = ops::parse_inline_mnl(broken).expect("it parses").remove(0);
+        let log: Vec<Request> = [false, false, true]
+            .into_iter()
+            .map(|warm| layout_request(&[&module], "nmos", None, 1, warm))
+            .collect();
+        let session = isolated_session();
+        let (served, _) = serve_log(&session, &log, 1);
+        let (expected, _, _) = one_shot_layouts(&log);
+        assert!(expected[0].is_err());
+        assert_eq!(served, expected);
+        assert_eq!(layout_counts(&session), (1, 1));
+    }
+
+    #[test]
+    fn concurrent_repeats_of_one_layout_compute_it_once() {
+        let (gates, _) = layout_modules();
+        let log = vec![layout_request(&[&gates], "nmos", None, 2, false); 2];
+        let session = isolated_session();
+        let (served, _) = serve_log(&session, &log, 2);
+        let (expected, _, _) = one_shot_layouts(&log[..1]);
+        assert_eq!(served, [expected[0].clone(), expected[0].clone()]);
+        assert_eq!(layout_counts(&session), (1, 1));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! random move, report the new cost, and be able to revert exactly one
 //! applied move.
 
+use std::sync::{Mutex, PoisonError};
+
 use maestro_trace as trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,9 +114,11 @@ impl AnnealSchedule {
 
 /// Work-size floor for the replica fan-out: below this many work items
 /// (nets, tiles, blocks — whatever the caller anneals over) the replica
-/// walks run serially on the caller thread. The reduction is index-based,
-/// so the serial and threaded paths produce bit-identical results; the
-/// threshold only avoids paying thread spawns for toy problems.
+/// walks run serially on the caller thread; at or above it they run on at
+/// most [`std::thread::available_parallelism`] scoped workers, whatever
+/// the replica count. The reduction is index-based, so the serial and
+/// threaded paths produce bit-identical results; the threshold only
+/// avoids paying thread spawns for toy problems.
 pub const DEFAULT_REPLICA_WORK_THRESHOLD: usize = 16;
 
 /// Derives replica `r`'s RNG seed from the base seed. Replica 0 uses the
@@ -143,8 +147,11 @@ pub fn replica_seed(base: u64, replica: usize) -> u64 {
 /// `replicas`. `replicas = 1` with no warm seed runs today's
 /// calibrate-then-anneal sequence in place — no clone, no spawn — and is
 /// bit-identical to calling [`anneal`] directly. Otherwise the walks fan
-/// out over scoped threads (serially when `work_size` is below
-/// [`DEFAULT_REPLICA_WORK_THRESHOLD`]); results are collected in walk
+/// out over `min(available_parallelism, walks)` scoped workers that take
+/// walk indices in order, so a request for a thousand replicas starts no
+/// more threads than the host has cores (the walks run serially on the
+/// caller thread when `work_size` is below
+/// [`DEFAULT_REPLICA_WORK_THRESHOLD`]); results are reduced in walk
 /// order, so the reduction is independent of thread scheduling.
 ///
 /// A warm walk leaves every cold walk unchanged, and the reduction is
@@ -161,9 +168,9 @@ pub fn replica_seed(base: u64, replica: usize) -> u64 {
 ///
 /// Emits `anneal.replicas` (every walk, the warm one included) and
 /// `anneal.replica_best` counters, plus `anneal.warm_walks` and
-/// `anneal.warm_best` (1 when the warm walk won) for a warm run; each
-/// walk's thread labels itself `replica-{r}`, so its spans and
-/// accept/reject counters carry per-replica attribution.
+/// `anneal.warm_best` (1 when the warm walk won) for a warm run; a worker
+/// labels its thread `replica-{r}` before it runs walk `r`, so each
+/// walk's spans and accept/reject counters carry per-replica attribution.
 pub fn anneal_replicas<S: AnnealState + Send>(
     state: &mut S,
     warm: Option<S>,
@@ -204,23 +211,35 @@ pub fn anneal_replicas<S: AnnealState + Send>(
     let results: Vec<(f64, S)> = if work_size < DEFAULT_REPLICA_WORK_THRESHOLD {
         walks.map(|(r, start)| run_replica(r, start)).collect()
     } else {
-        std::thread::scope(|scope| {
-            let run = &run_replica;
-            let handles: Vec<_> = walks
-                .map(|(r, start)| {
+        let workers = std::thread::available_parallelism()
+            .map_or(1, usize::from)
+            .min(total);
+        let queue = Mutex::new(walks);
+        let mut done: Vec<(usize, (f64, S))> = std::thread::scope(|scope| {
+            let (run, queue) = (&run_replica, &queue);
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
                     scope.spawn(move || {
-                        if trace::enabled() {
-                            trace::set_thread_label(format!("replica-{r}"));
+                        let mut ran = Vec::new();
+                        loop {
+                            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                            let Some((r, start)) = next else { break };
+                            if trace::enabled() {
+                                trace::set_thread_label(format!("replica-{r}"));
+                            }
+                            ran.push((r, run(r, start)));
                         }
-                        run(r, start)
+                        ran
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|walk| walk.join().expect("replica walk panicked"))
+                .flat_map(|worker| worker.join().expect("replica walk panicked"))
                 .collect()
-        })
+        });
+        done.sort_unstable_by_key(|&(r, _)| r);
+        done.into_iter().map(|(_, walk)| walk).collect()
     };
     // Strict `<` keeps the lowest index on cost ties, so the warm walk
     // (the highest index) only wins by strictly improving on every cold
@@ -352,6 +371,10 @@ pub fn anneal<S: AnnealState>(state: &mut S, schedule: &AnnealSchedule, seed: u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::thread::ThreadId;
 
     /// A toy state: a permutation whose cost is the number of inversions.
     #[derive(Clone)]
@@ -522,6 +545,67 @@ mod tests {
         let serial = run(0);
         assert_eq!(threaded, serial);
         assert_eq!(threaded, run(usize::MAX), "repeat runs are identical");
+    }
+
+    /// A [`SortState`] whose clones record, together, the most moves in
+    /// progress at once and every thread that applied one.
+    #[derive(Clone)]
+    struct CountingState {
+        inner: SortState,
+        live: Arc<AtomicUsize>,
+        peak: Arc<AtomicUsize>,
+        threads: Arc<Mutex<HashSet<ThreadId>>>,
+    }
+
+    impl AnnealState for CountingState {
+        fn cost(&self) -> f64 {
+            self.inner.cost()
+        }
+
+        fn propose_and_apply(&mut self, rng: &mut StdRng) -> f64 {
+            let now = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            self.threads
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(std::thread::current().id());
+            let cost = self.inner.propose_and_apply(rng);
+            self.live.fetch_sub(1, Ordering::SeqCst);
+            cost
+        }
+
+        fn revert(&mut self) {
+            self.inner.revert();
+        }
+    }
+
+    #[test]
+    fn replica_walks_run_on_at_most_one_worker_per_core() {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let run = |work_size| {
+            let mut s = CountingState {
+                inner: SortState::new(20, 3),
+                live: Arc::default(),
+                peak: Arc::default(),
+                threads: Arc::default(),
+            };
+            let cost = anneal_replicas(&mut s, None, &AnnealSchedule::quick(), 7, 8, 32, work_size);
+            let threads = s
+                .threads
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len();
+            (cost, s.inner.values, s.peak.load(Ordering::SeqCst), threads)
+        };
+        let (cost, values, peak, threads) = run(usize::MAX);
+        let (serial_cost, serial_values, serial_peak, serial_threads) = run(0);
+        assert_eq!((cost, &values), (serial_cost, &serial_values));
+        assert_eq!((serial_peak, serial_threads), (1, 1), "the serial path");
+        assert!(peak <= cores, "{peak} walks moved at once on {cores} cores");
+        assert!(
+            threads <= cores.min(8),
+            "8 walks ran on {threads} threads, {cores} cores"
+        );
     }
 
     #[test]

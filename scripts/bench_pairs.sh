@@ -12,16 +12,19 @@
 #   bash perfbench/run.sh --workload WORKLOAD --seed N --seconds S --trace 0
 #
 # with S the run_seconds of BENCHMARK.json: the parent first on odd
-# seeds, the change first on even ones. Every JSON result line is kept
-# in .bench_pairs/WORKLOAD-seeds-FIRST-LAST.tsv (side, seed, line). Then,
-# for each end-to-end metric of BENCHMARK.json, the script prints the
-# per-pair values, each side's median and quartiles (linear
-# interpolation), the pairs the change won (ties count for neither) and
-# whether the median gain exceeds the parent's quartile spread; last,
-# each side's attempted and failed operations.
+# seeds, the change first on even ones. Each run, its build included, is
+# stopped after RUN_LIMIT seconds (900, enough for a cold build of both
+# workspaces and a slow check phase) and timed. Every JSON result line is
+# kept in .bench_pairs/WORKLOAD-seeds-FIRST-LAST.tsv (side, seed, the
+# run's wall seconds, line). Then, for each end-to-end metric of
+# BENCHMARK.json, the script prints the per-pair values, each side's
+# median and quartiles (linear interpolation), the pairs the change won
+# (ties count for neither) and whether the median gain exceeds the
+# parent's quartile spread; last, each side's attempted and failed
+# operations and its median run time.
 #
-# Exits non-zero if a run prints no result line or reports
-# "correct":false. The worktree is removed on exit.
+# Exits non-zero if a run times out, fails, prints no result line or
+# reports "correct":false. The worktree is removed on exit.
 set -euo pipefail
 
 if [[ $# -ne 4 ]]; then
@@ -64,25 +67,40 @@ parent_label=$(git -C "$tree" rev-parse --short HEAD)
 results=$work/$workload-seeds-$first-$last.tsv
 : >"$results"
 
-# run SIDE SEED: one benchmark run, its result line appended to $results.
+# Wall-clock limit of one run, its build included.
+RUN_LIMIT=900
+
+# run SIDE SEED: one timed benchmark run, its result line appended to
+# $results.
 run() {
-    local side=$1 seed=$2 dir=$root line
+    local side=$1 seed=$2 dir=$root line status=0 start wall
     local target=${CARGO_TARGET_DIR:-$root/.bench_build}
+    local out=$work/run.out
     if [[ $side == parent ]]; then
         dir=$tree
         target=$work/target
     fi
     echo "bench_pairs: $workload seed $seed, $side" >&2
-    if ! line=$(cd "$dir" && CARGO_TARGET_DIR=$target bash perfbench/run.sh \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1); then
+    start=$(date +%s.%N)
+    (cd "$dir" && CARGO_TARGET_DIR=$target timeout --kill-after=30 "$RUN_LIMIT" \
+        bash perfbench/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" \
+        --trace 0) >"$out" || status=$?
+    wall=$(awk -v a="$start" -v b="$(date +%s.%N)" 'BEGIN { printf "%.1f", b - a }')
+    echo "bench_pairs: $workload seed $seed, $side: $wall s" >&2
+    if ((status == 124 || status == 137)); then
+        echo "bench_pairs: the $side run of seed $seed timed out after $RUN_LIMIT s" >&2
+        exit 1
+    fi
+    if ((status != 0)); then
         echo "bench_pairs: the $side run of seed $seed failed" >&2
         exit 1
     fi
+    line=$(tail -n 1 "$out")
     if [[ $line != "{"* ]]; then
         echo "bench_pairs: the $side run of seed $seed printed no result line" >&2
         exit 1
     fi
-    printf '%s\t%s\t%s\n' "$side" "$seed" "$line" >>"$results"
+    printf '%s\t%s\t%s\t%s\n' "$side" "$seed" "$wall" "$line" >>"$results"
     if [[ $line == *'"correct":false'* ]]; then
         echo "bench_pairs: the $side run of seed $seed reported \"correct\":false" >&2
         exit 1
@@ -133,9 +151,10 @@ awk -F'\t' -v metrics="$metrics" '
         side = $1
         k = ++seen[side]
         seed[side, k] = $2
-        line[side, k] = $3
-        attempted[side] += count($3, "attempted")
-        failed[side] += count($3, "failed")
+        wall[side, k] = $3
+        line[side, k] = $4
+        attempted[side] += count($4, "attempted")
+        failed[side] += count($4, "failed")
     }
     END {
         n = seen["parent"] < seen["change"] ? seen["parent"] : seen["change"]
@@ -165,6 +184,12 @@ awk -F'\t' -v metrics="$metrics" '
         }
         printf "operations: parent %d attempted, %d failed; change %d attempted, %d failed\n", \
             attempted["parent"], failed["parent"], attempted["change"], failed["change"]
+        for (k = 1; k <= n; k++) {
+            p[k] = wall["parent", k]
+            c[k] = wall["change", k]
+        }
+        printf "run wall time, build included: parent median %.1f s, change median %.1f s\n", \
+            quantile(p, n, 0.5), quantile(c, n, 0.5)
     }
 ' "$results"
 echo "result lines: $results"
