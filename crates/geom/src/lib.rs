@@ -13,7 +13,6 @@
 //!   with saturating-free checked arithmetic through standard operators;
 //! * [`Point`], [`Rect`], [`Interval`] — minimal planar geometry used by the
 //!   layout substrates;
-//! * [`Orientation`] — the eight layout orientations (4 rotations × mirror);
 //! * [`AspectRatio`] — width : height ratios as reported in the paper's
 //!   Tables 1 and 2;
 //! * [`ShapeCurve`] — piecewise-constant width/height trade-off curves
@@ -38,7 +37,6 @@ mod aspect;
 pub mod design_rules;
 mod interval;
 mod lambda;
-mod orientation;
 mod point;
 mod rect;
 mod shape_curve;
@@ -48,7 +46,6 @@ pub use aspect::AspectRatio;
 pub use design_rules::DesignRules;
 pub use interval::Interval;
 pub use lambda::{Lambda, LambdaArea, Micron};
-pub use orientation::Orientation;
 pub use point::Point;
 pub use rect::Rect;
 pub use shape_curve::{ShapeCurve, ShapePoint};
