@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 use maestro_netlist::{
-    diff, mnl, CacheStats, Fingerprinted, LayoutStyle, Module, NetlistDiff, NetlistError,
+    diff, mnl, CacheStats, LayoutStyle, Module, ModuleFingerprint, NetlistDiff, NetlistError,
     NetlistStats, RevisionManifest, StatsCache,
 };
 use maestro_tech::ProcessDb;
@@ -350,12 +350,12 @@ impl Pipeline {
     /// (module, technology, style)), or uncached when disabled.
     fn resolve_stats(
         &self,
-        module: &Fingerprinted<'_>,
+        module: &Module,
         style: LayoutStyle,
     ) -> Result<Arc<NetlistStats>, NetlistError> {
         match &self.stats {
-            Some(cache) => cache.resolve_fingerprinted(module, &self.tech, style),
-            None => NetlistStats::resolve(module.module(), &self.tech, style).map(Arc::new),
+            Some(cache) => cache.resolve(module, &self.tech, style),
+            None => NetlistStats::resolve(module, &self.tech, style).map(Arc::new),
         }
     }
 
@@ -371,12 +371,10 @@ impl Pipeline {
     pub fn run_module(&self, module: &Module) -> Result<EstimateRecord, NetlistError> {
         let _module_span = trace::span_with("pipeline.module", || module.name().to_owned());
         trace::counter("estimate.nets", module.net_count() as u64);
-        // One fingerprint keys the result memo and both style lookups.
-        let keyed = Fingerprinted::new(module);
         // The result memo's key: module content × technology × parameters.
         let key = self.results.as_ref().map(|_| {
             (
-                keyed.fingerprint(),
+                ModuleFingerprint::of(module),
                 self.tech.revision().id(),
                 params_digest(&self.sc_params),
             )
@@ -386,7 +384,7 @@ impl Pipeline {
                 return Ok((*record).clone());
             }
         }
-        let (sc, sc_candidates) = match self.resolve_stats(&keyed, LayoutStyle::StandardCell) {
+        let (sc, sc_candidates) = match self.resolve_stats(module, LayoutStyle::StandardCell) {
             Ok(stats) if stats.device_count() > 0 => {
                 let _sc_span = trace::span("estimate.standard_cell");
                 let primary =
@@ -402,7 +400,7 @@ impl Pipeline {
             }
             _ => (None, Vec::new()),
         };
-        let fc = match self.resolve_stats(&keyed, LayoutStyle::FullCustom) {
+        let fc = match self.resolve_stats(module, LayoutStyle::FullCustom) {
             Ok(stats) if stats.device_count() > 0 => {
                 let _fc_span = trace::span("estimate.full_custom");
                 Some(full_custom::estimate(&stats, &self.tech))

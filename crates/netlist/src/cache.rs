@@ -24,7 +24,6 @@
 //! trace counter increment (no-ops when tracing is disabled), so traced
 //! runs surface cache effectiveness in `perf-report`.
 
-use std::cell::OnceCell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -50,43 +49,16 @@ use crate::{LayoutStyle, Module, NetlistError, NetlistStats};
 pub struct ModuleFingerprint(u128);
 
 impl ModuleFingerprint {
-    /// Fingerprints a module's full content.
+    /// Fingerprints a module's full content. The module keeps the value,
+    /// so only the first call on a module value hashes, and a clone made
+    /// after it carries the value: every memo the module keys — resolve,
+    /// results, the serve layout memo, the revision manifest — shares
+    /// that one hash.
     pub fn of(module: &Module) -> Self {
-        ModuleFingerprint(module.content_hash())
-    }
-}
-
-/// A module with its [`ModuleFingerprint`], hashed on first use and then
-/// reused, so one module keys any number of cache lookups for the price
-/// of one fingerprint: `Pipeline::run_module` keys both style lookups
-/// and the results memo with one. Only [`Fingerprinted::new`] makes one,
-/// from the module itself, so the fingerprint always belongs to the
-/// module it travels with.
-#[derive(Debug)]
-pub struct Fingerprinted<'m> {
-    module: &'m Module,
-    fingerprint: OnceCell<ModuleFingerprint>,
-}
-
-impl<'m> Fingerprinted<'m> {
-    /// Wraps `module`; nothing is hashed until a key is needed.
-    pub fn new(module: &'m Module) -> Self {
-        Fingerprinted {
-            module,
-            fingerprint: OnceCell::new(),
-        }
-    }
-
-    /// The module.
-    pub fn module(&self) -> &'m Module {
-        self.module
-    }
-
-    /// The module's fingerprint, computed on the first call only.
-    pub fn fingerprint(&self) -> ModuleFingerprint {
-        *self
+        *module
             .fingerprint
-            .get_or_init(|| ModuleFingerprint::of(self.module))
+            .0
+            .get_or_init(|| ModuleFingerprint(module.content_hash()))
     }
 }
 
@@ -179,25 +151,9 @@ impl StatsCache {
         tech: &ProcessDb,
         style: LayoutStyle,
     ) -> Result<Arc<NetlistStats>, NetlistError> {
-        self.resolve_fingerprinted(&Fingerprinted::new(module), tech, style)
-    }
-
-    /// [`StatsCache::resolve`] for a module whose fingerprint may already
-    /// be known: a caller resolving several styles of one module hashes
-    /// it once.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`NetlistStats::resolve`].
-    pub fn resolve_fingerprinted(
-        &self,
-        module: &Fingerprinted<'_>,
-        tech: &ProcessDb,
-        style: LayoutStyle,
-    ) -> Result<Arc<NetlistStats>, NetlistError> {
-        let key = (module.fingerprint(), tech.revision().id(), style);
+        let key = (ModuleFingerprint::of(module), tech.revision().id(), style);
         self.memo.get_or_insert_with(key, || {
-            NetlistStats::resolve(module.module(), tech, style).map(Arc::new)
+            NetlistStats::resolve(module, tech, style).map(Arc::new)
         })
     }
 
@@ -210,7 +166,8 @@ impl StatsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generate, library_circuits, ModuleBuilder};
+    use crate::module::FingerprintCell;
+    use crate::{generate, library_circuits, ModuleBuilder, RevisionManifest};
     use maestro_tech::builtin;
 
     #[test]
@@ -317,18 +274,31 @@ mod tests {
         let cache = StatsCache::new();
         let tech = builtin::nmos25();
         let m = library_circuits::nmos_full_adder();
-        let keyed = Fingerprinted::new(&m);
-        assert!(keyed.fingerprint.get().is_none(), "nothing hashed up front");
+        assert!(m.fingerprint.0.get().is_none(), "nothing hashed up front");
+        let _ = cache.resolve(&m, &tech, LayoutStyle::StandardCell);
+        let kept = *m.fingerprint.0.get().expect("the first key fills the cell");
+        assert_eq!(kept, ModuleFingerprint(m.content_hash()));
+        // Every later key reads the kept value: the other style, the
+        // revision manifest, a second call and a clone.
+        let _ = cache.resolve(&m, &tech, LayoutStyle::FullCustom);
+        let mut manifest = RevisionManifest::new();
+        manifest.record(&m);
+        assert_eq!(manifest.fingerprint(m.name()), Some(kept));
+        assert_eq!(ModuleFingerprint::of(&m), kept);
+        let clone = m.clone();
+        assert_eq!(clone.fingerprint.0.get(), Some(&kept), "a clone keeps it");
         for style in [LayoutStyle::StandardCell, LayoutStyle::FullCustom] {
-            let _ = cache.resolve_fingerprinted(&keyed, &tech, style);
-        }
-        assert_eq!(keyed.fingerprint(), ModuleFingerprint::of(&m));
-        // The plain entry point lands on the same two entries.
-        for style in [LayoutStyle::StandardCell, LayoutStyle::FullCustom] {
-            let _ = cache.resolve(&m, &tech, style);
+            let _ = cache.resolve(&clone, &tech, style);
         }
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits, stats.entries), (2, 2, 2));
+        // Nothing hashes again: a copy whose cell holds another value keys
+        // with that value, a fresh entry.
+        let mut planted = m.clone();
+        planted.fingerprint = FingerprintCell(OnceLock::from(ModuleFingerprint(7)));
+        assert_eq!(ModuleFingerprint::of(&planted), ModuleFingerprint(7));
+        let _ = cache.resolve(&planted, &tech, LayoutStyle::FullCustom);
+        assert_eq!(cache.stats().misses, 3);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod spice;
 mod stats;
 pub mod validate;
 
-pub use cache::{Fingerprinted, ModuleFingerprint, StatsCache, DEFAULT_STATS_CAPACITY};
+pub use cache::{ModuleFingerprint, StatsCache, DEFAULT_STATS_CAPACITY};
 pub use diff::{diff, NetlistDiff, RevisionManifest};
 pub use error::{NetlistError, ParseErrorKind};
 pub use ids::{DeviceId, NetId, PortId};

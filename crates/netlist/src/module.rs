@@ -19,7 +19,9 @@
 //! use them), so two modules with the same content — ids, names,
 //! bindings and their order — hold equal arrays, however the builder's
 //! calls were interleaved. `==` and [`crate::ModuleFingerprint`] compare
-//! and hash the arrays directly.
+//! and hash the arrays directly. The module keeps its fingerprint once
+//! computed, so a module value is hashed at most once; `==` ignores the
+//! kept value, and [`Module::renamed`] drops it.
 //!
 //! Accessors return `&str`, small `Copy` views ([`Device`], [`Net`],
 //! [`Port`], [`Pins`]) and iterators over the arrays.
@@ -27,11 +29,12 @@
 use std::fmt;
 use std::hash::{BuildHasher, RandomState};
 use std::ops::Deref;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
 use crate::memo::{content_hash128, content_hash128_u32};
-use crate::{DeviceId, NetId, NetlistError, ParseErrorKind, PortId};
+use crate::{DeviceId, ModuleFingerprint, NetId, NetlistError, ParseErrorKind, PortId};
 
 /// Direction of a module I/O port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -128,6 +131,21 @@ struct Attachment {
 /// `Module::net_ports` for a net without a port.
 const NO_PORT: u32 = u32::MAX;
 
+/// A module's [`ModuleFingerprint`], filled by [`ModuleFingerprint::of`]
+/// on first use. The fingerprint is a function of the content, so the
+/// cell takes no part in `==`: every cell equals every other, and a
+/// hashed module equals an unhashed copy of itself.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FingerprintCell(pub(crate) OnceLock<ModuleFingerprint>);
+
+impl PartialEq for FingerprintCell {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for FingerprintCell {}
+
 /// A flat circuit module: the unit the paper's estimator sizes.
 ///
 /// Construct through [`ModuleBuilder`], the [`crate::mnl`] parser or the
@@ -152,6 +170,7 @@ pub struct Module {
     ports: Vec<(PortDirection, NetId)>,
     /// Templates and pin names, in the order devices first use them.
     symbols: Names,
+    pub(crate) fingerprint: FingerprintCell,
 }
 
 impl Module {
@@ -165,6 +184,8 @@ impl Module {
     /// instance in a batch uniquely addressable (reports, floorplans).
     pub fn renamed(mut self, name: impl Into<String>) -> Module {
         self.name = name.into();
+        // The name is part of the fingerprint.
+        self.fingerprint = FingerprintCell::default();
         self
     }
 
@@ -269,7 +290,7 @@ impl Module {
         self.symbols.len()
     }
 
-    /// The content hash behind [`crate::ModuleFingerprint`]: every array
+    /// The content hash behind [`ModuleFingerprint`]: every array
     /// the module's content determines, each hashed on its own and
     /// length-prefixed by [`content_hash128`], then the digests together.
     /// The net attachments and ports per net are not hashed: they are
@@ -696,6 +717,7 @@ impl ModuleBuilder {
                 net_ports: Vec::new(),
                 ports: Vec::new(),
                 symbols: Names::default(),
+                fingerprint: FingerprintCell::default(),
             },
             hasher: RandomState::new(),
             device_index: NameIndex::default(),

@@ -10,7 +10,9 @@
 //! * equality, the fingerprint and the text depend on content only: the
 //!   same module built through two interleavings of net, port and device
 //!   creation, every id identical, is `==`, fingerprints the same and
-//!   prints the same.
+//!   prints the same, whether or not either build (or a clone of it) has
+//!   been fingerprinted already; a renamed module fingerprints as one
+//!   built under the new name.
 //!
 //! Only the name, count, lookup, component and port accessors are used,
 //! so the contract holds for any representation of the graph.
@@ -386,13 +388,37 @@ proptest! {
         let (module, rec) = run(&calls, pool);
         let interleaved = rebuild_interleaved(&rec, &choices);
         check_against_record(&interleaved, &rec);
-        prop_assert_eq!(&interleaved, &module);
-        prop_assert_eq!(
-            ModuleFingerprint::of(&interleaved),
-            ModuleFingerprint::of(&module)
-        );
-        prop_assert_eq!(mnl::to_mnl(&interleaved), mnl::to_mnl(&module));
+        // The module keeps its fingerprint once computed; the kept value
+        // takes no part in `==`. Hash one build, and a clone of it, first.
+        let hashed = ModuleFingerprint::of(&interleaved);
+        let clone = interleaved.clone();
+        prop_assert_eq!(ModuleFingerprint::of(&clone), hashed);
+        for hashed_build in [&interleaved, &clone] {
+            prop_assert_eq!(hashed_build, &module);
+            prop_assert_eq!(&module, hashed_build);
+            prop_assert_eq!(mnl::to_mnl(hashed_build), mnl::to_mnl(&module));
+        }
+        prop_assert_eq!(ModuleFingerprint::of(&module), hashed);
     }
+}
+
+#[test]
+fn a_renamed_module_fingerprints_as_one_built_under_the_new_name() {
+    let build = |name: &str| {
+        let mut b = ModuleBuilder::new(name);
+        let a = b.port("a", PortDirection::Input);
+        let y = b.port("y", PortDirection::Output);
+        b.device("u1", "INV", [("A", a), ("Y", y)]);
+        b.finish()
+    };
+    let module = build(MODULE);
+    let old = ModuleFingerprint::of(&module);
+    let renamed = module.renamed("other");
+    assert_eq!(
+        ModuleFingerprint::of(&renamed),
+        ModuleFingerprint::of(&build("other"))
+    );
+    assert_ne!(ModuleFingerprint::of(&renamed), old);
 }
 
 #[test]
