@@ -642,6 +642,64 @@ fn report_renders_markdown_with_floorplan() {
 }
 
 #[test]
+fn report_pairs_each_module_with_its_own_estimate_when_names_repeat() {
+    // Module `m` is one inverter in a.mnl and three in b.mnl.
+    let dir = scratch_dir("report-repeated-name-test");
+    let sources = [
+        (
+            "a.mnl",
+            "module m;\ninput a;\noutput y;\ndevice u1 INV (A=a, Y=y);\nendmodule\n",
+        ),
+        (
+            "b.mnl",
+            "module m;\ninput a;\noutput y;\nnet n1, n2;\ndevice u1 INV (A=a, Y=n1);\n\
+             device u2 INV (A=n1, Y=n2);\ndevice u3 INV (A=n2, Y=y);\nendmodule\n",
+        ),
+        (
+            "c.mnl",
+            "module k;\ninput a, b;\noutput y;\ndevice g1 NAND2 (A=a, B=b, Y=y);\nendmodule\n",
+        ),
+    ];
+    let files: Vec<String> = sources
+        .iter()
+        .map(|(name, text)| write_design(&dir, name, &[text.to_string()]))
+        .collect();
+    // The report's module sections, each without its trailing blank lines.
+    let sections = |files: &[String]| -> Vec<String> {
+        let out = cli().arg("report").args(files).output().expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout)
+            .split("\n## ")
+            .filter(|section| section.starts_with("module "))
+            .map(|section| section.trim_end().to_owned())
+            .collect()
+    };
+    let together = sections(&files);
+    let alone: Vec<String> = files
+        .iter()
+        .flat_map(|file| sections(std::slice::from_ref(file)))
+        .collect();
+    assert_eq!(together, alone);
+    let devices: Vec<&str> = together
+        .iter()
+        .map(|section| section.lines().nth(2).expect("a device line"))
+        .collect();
+    assert_eq!(
+        devices,
+        [
+            "- devices: 1, nets: 2, ports: 2",
+            "- devices: 3, nets: 4, ports: 2",
+            "- devices: 1, nets: 3, ports: 3",
+        ]
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
 fn depth_reports_critical_path() {
     let out = cli()
         .args(["depth", &asset("full_adder.mnl")])
