@@ -421,9 +421,7 @@ pub(crate) fn floorplan_seeded(
     };
     state.refresh();
     if n > 1 {
-        let initial_expr = state.expr.clone();
-        let initial_cost = state.cached_cost;
-        let final_cost = anneal_replicas(
+        anneal_replicas(
             &mut state,
             None,
             &params.schedule,
@@ -432,10 +430,6 @@ pub(crate) fn floorplan_seeded(
             48,
             n,
         );
-        if final_cost > initial_cost {
-            state.expr = initial_expr;
-            state.refresh();
-        }
     }
 
     let counters = PlanCounters {

@@ -530,12 +530,10 @@ fn synthesize_with_seed(
         evals_delta: 0,
     };
     state.refresh();
-    let initial_expr = state.expr.clone();
-    let initial_cost = state.cached_cost;
     let work_size = state.tiles.len();
     // An accepted seed becomes one extra annealing walk; the cold walks
     // below run exactly as an unseeded synthesis would, so seeding can
-    // only improve the reduced cost.
+    // only improve the reduced cost, which never exceeds the start's.
     let warm_state = warm.and_then(|seed| {
         if seed.expr.operand_count() == state.tiles.len() && seed.expr.is_valid() {
             trace::counter("fullcustom.warm_start", 1);
@@ -548,7 +546,7 @@ fn synthesize_with_seed(
             None
         }
     });
-    let final_cost = anneal_replicas(
+    anneal_replicas(
         &mut state,
         warm_state,
         &params.schedule,
@@ -557,10 +555,6 @@ fn synthesize_with_seed(
         64,
         work_size,
     );
-    if final_cost > initial_cost {
-        state.expr = initial_expr;
-        state.refresh();
-    }
 
     let eval = match state.mode {
         EvalMode::Full => state.cached_eval.clone(),

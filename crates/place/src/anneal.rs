@@ -547,6 +547,57 @@ mod tests {
         assert_eq!(threaded, run(usize::MAX), "repeat runs are identical");
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The "never worse than the start" rule the annealers' callers
+        /// rely on: short, hot walks that often end on an uphill
+        /// excursion, with no warm start, a warm start below the start's
+        /// cost (the sorted order) and one above it (the reversed order).
+        #[test]
+        fn replica_walks_never_end_above_their_start(
+            n in 4usize..12,
+            seed in proptest::prelude::any::<u64>(),
+            walk_seed in proptest::prelude::any::<u64>(),
+            replicas in 1usize..=4,
+            warm in 0usize..3,
+            threaded in proptest::prelude::any::<bool>(),
+        ) {
+            let mut state = SortState::new(n, seed);
+            let start = state.cost();
+            let warm = match warm {
+                0 => None,
+                1 => {
+                    let mut below = state.clone();
+                    below.values.sort_unstable();
+                    if below.cost() >= start {
+                        return Ok(());
+                    }
+                    Some(below)
+                }
+                _ => {
+                    let mut above = state.clone();
+                    above.values.sort_unstable_by(|a, b| b.cmp(a));
+                    if above.cost() <= start {
+                        return Ok(());
+                    }
+                    Some(above)
+                }
+            };
+            let schedule = AnnealSchedule {
+                initial_temp: 1.0,
+                cooling: 0.9,
+                rounds: 3,
+                moves_per_round: 6,
+            };
+            let work_size = if threaded { DEFAULT_REPLICA_WORK_THRESHOLD } else { 0 };
+            let cost =
+                anneal_replicas(&mut state, warm, &schedule, walk_seed, replicas, 4, work_size);
+            proptest::prop_assert!(cost <= start, "{cost} > {start}");
+            proptest::prop_assert_eq!(cost, state.cost());
+        }
+    }
+
     /// A [`SortState`] whose clones record, together, the most moves in
     /// progress at once and every thread that applied one.
     #[derive(Clone)]

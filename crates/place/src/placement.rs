@@ -659,12 +659,9 @@ fn place_with(
         evals_delta: 0,
     };
     state.refresh_cost();
-    // Keep the folded initial placement as a fallback: annealing must
-    // never hand the router something worse than the one-row model.
-    let initial_rows_snapshot = state.rows.clone();
-    let initial_row_of = state.row_of.clone();
-    let initial_cost = state.cached_cost;
-    let annealed_cost = anneal_replicas(
+    // `anneal` never ends above its start, so the router never gets
+    // anything worse than the folded one-row model.
+    anneal_replicas(
         &mut state,
         None,
         &params.schedule,
@@ -673,11 +670,6 @@ fn place_with(
         64,
         net_count,
     );
-    if annealed_cost > initial_cost {
-        state.rows = initial_rows_snapshot;
-        state.row_of = initial_row_of;
-        state.refresh_cost();
-    }
 
     // Materialize coordinates.
     let mut placed_rows = Vec::with_capacity(state.rows.len());
