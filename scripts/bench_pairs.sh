@@ -5,18 +5,20 @@
 #
 #   scripts/bench_pairs.sh PARENT_REV WORKLOAD FIRST_SEED LAST_SEED
 #
-# PARENT_REV is checked out in a git worktree under .bench_pairs/ and
-# built there with its own target dir; the working tree is the change.
-# For each seed N from FIRST_SEED to LAST_SEED both sides run
+# PARENT_REV is exported with `git archive` into .bench_pairs/parent
+# (fresh file times, so cargo rebuilds it) and built there with its own
+# target dir; the working tree is the change. Nothing is written under
+# .git. For each seed N from FIRST_SEED to LAST_SEED both sides run
 #
 #   bash perfbench/run.sh --workload WORKLOAD --seed N --seconds S --trace 0
 #
 # with S the run_seconds of BENCHMARK.json: the parent first on odd
 # seeds, the change first on even ones. Each run, its build included, is
 # stopped after RUN_LIMIT seconds (900, enough for a cold build of both
-# workspaces and a slow check phase) and timed. Every JSON result line is
-# kept in .bench_pairs/WORKLOAD-seeds-FIRST-LAST.tsv (side, seed, the
-# run's wall seconds, line). Then, for each end-to-end metric of
+# workspaces and a slow check phase) and timed. Each run's stdout is kept
+# in .bench_pairs/WORKLOAD-SIDE-seedN.out, and every JSON result line in
+# .bench_pairs/WORKLOAD-seeds-FIRST-LAST.tsv (side, seed, the run's wall
+# seconds, line). Then, for each end-to-end metric of
 # BENCHMARK.json, the script prints the per-pair values, each side's
 # median and quartiles (linear interpolation), the pairs the change won
 # (ties count for neither) and whether the median gain exceeds the
@@ -24,7 +26,9 @@
 # operations and its median run time.
 #
 # Exits non-zero if a run times out, fails, prints no result line or
-# reports "correct":false. The worktree is removed on exit.
+# reports "correct":false. On exit the parent's tree is removed and
+# perfbench/Cargo.lock, which the offline builds rewrite, gets back the
+# bytes it had at start.
 set -euo pipefail
 
 if [[ $# -ne 4 ]]; then
@@ -52,17 +56,24 @@ if [[ -z $seconds || -z $metrics ]]; then
     exit 2
 fi
 
+parent_label=$(git -C "$root" rev-parse --short --verify "$parent_rev^{commit}")
 work=$root/.bench_pairs
 tree=$work/parent
+lock=$root/perfbench/Cargo.lock
+mkdir -p "$work"
+rm -rf "$tree" "$work/Cargo.lock.start"
+[[ ! -f $lock ]] || cp "$lock" "$work/Cargo.lock.start"
 cleanup() {
-    git -C "$root" worktree remove --force "$tree" >/dev/null 2>&1 || rm -rf "$tree"
-    git -C "$root" worktree prune
+    rm -rf "$tree"
+    if [[ -f $work/Cargo.lock.start ]]; then
+        cp "$work/Cargo.lock.start" "$lock"
+    else
+        rm -f "$lock"
+    fi
 }
 trap cleanup EXIT
-mkdir -p "$work"
-cleanup
-git -C "$root" worktree add --quiet --detach "$tree" "$parent_rev"
-parent_label=$(git -C "$tree" rev-parse --short HEAD)
+mkdir "$tree"
+git -C "$root" archive "$parent_rev" | tar -x -m -C "$tree"
 
 results=$work/$workload-seeds-$first-$last.tsv
 : >"$results"
@@ -75,7 +86,7 @@ RUN_LIMIT=900
 run() {
     local side=$1 seed=$2 dir=$root line status=0 start wall
     local target=${CARGO_TARGET_DIR:-$root/.bench_build}
-    local out=$work/run.out
+    local out=$work/$workload-$side-seed$seed.out
     if [[ $side == parent ]]; then
         dir=$tree
         target=$work/target
