@@ -8,7 +8,7 @@
 //! half-perimeter wirelength of those nets over block centers.
 
 use maestro_geom::{Lambda, Point, Rect};
-use maestro_place::{anneal, AnnealSchedule, AnnealState};
+use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -280,9 +280,16 @@ pub fn floorplan_connected_with(
             rounds: params.order_rounds,
             moves_per_round: blocks.len() * 3,
             ..AnnealSchedule::quick()
-        }
-        .calibrated(&mut state, params.base.seed, 4);
-        anneal(&mut state, &schedule, params.base.seed);
+        };
+        anneal_replicas(
+            &mut state,
+            None,
+            &schedule,
+            params.base.seed,
+            1,
+            4,
+            blocks.len(),
+        );
     }
     // Final full-quality floorplan on the chosen order.
     let permuted: Vec<Block> = state

@@ -1,10 +1,10 @@
 //! The layout-synthesis driver: tiles → annealed slicing floorplan →
 //! wiring allocation → the "real" full-custom module.
 
-use maestro_geom::{AspectRatio, Lambda, LambdaArea};
+use maestro_geom::{AspectRatio, Lambda, LambdaArea, Rect};
 use maestro_netlist::{DeviceId, LayoutStyle, Module, NetlistError, StatsCache};
 use maestro_place::postfix::{Move, PolishExpr};
-use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState};
+use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState, HpwlJournal};
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
 use rand::rngs::StdRng;
@@ -14,6 +14,17 @@ use serde::{Deserialize, Serialize};
 use crate::polish::{evaluate, DeltaEval, Evaluated};
 use crate::wiring;
 
+/// Weight of the wirelength term relative to bounding area (λ of HPWL
+/// per λ² of area).
+const WIRE_WEIGHT: f64 = 2.0;
+
+/// Weight of the elongation penalty. Aspect ratios beyond 2:1 scale the
+/// area term by `1 + ASPECT_WEIGHT * (aspect − 2)`: manual layouts in the
+/// paper's Table 1 all fall between 1:1 and 2:1, so the synthesizer is
+/// steered away from degenerate strip layouts that a pure area +
+/// wirelength cost is indifferent to.
+const ASPECT_WEIGHT: f64 = 0.15;
+
 /// Parameters of a synthesis run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisParams {
@@ -21,15 +32,6 @@ pub struct SynthesisParams {
     pub seed: u64,
     /// Cooling schedule.
     pub schedule: AnnealSchedule,
-    /// Weight of the wirelength term relative to bounding area
-    /// (λ of HPWL per λ² of area).
-    pub wire_weight: f64,
-    /// Weight of the elongation penalty. Aspect ratios beyond 2:1 scale
-    /// the area term by `1 + aspect_weight * (aspect − 2)`: manual
-    /// layouts in the paper's Table 1 all fall between 1:1 and 2:1, so
-    /// the synthesizer is steered away from degenerate strip layouts
-    /// that a pure area + wirelength cost is indifferent to.
-    pub aspect_weight: f64,
     /// Independently seeded annealing walks to run and reduce best-of
     /// (`1` = single walk, bit-identical to the pre-replica engine).
     pub replicas: usize,
@@ -40,8 +42,6 @@ impl Default for SynthesisParams {
         SynthesisParams {
             seed: 1988,
             schedule: AnnealSchedule::default(),
-            wire_weight: 2.0,
-            aspect_weight: 0.15,
             replicas: 1,
         }
     }
@@ -173,8 +173,6 @@ struct SynthState<'m> {
     module: &'m Module,
     tiles: Vec<(Lambda, Lambda)>,
     expr: PolishExpr,
-    wire_weight: f64,
-    aspect_weight: f64,
     mode: EvalMode,
     cached_cost: f64,
     /// Full-mode evaluation cache (unused, but kept current, in delta
@@ -182,22 +180,11 @@ struct SynthState<'m> {
     cached_eval: Evaluated,
     /// Delta-mode incremental evaluation.
     eval: DeltaEval,
-    /// Per-net component tile indices, in module net order.
-    net_comps: Vec<Vec<usize>>,
-    /// Nets with ≥ 2 pins incident to each tile.
-    tile_nets: Vec<Vec<u32>>,
-    /// Cached per-net HPWL contributions, in module net order.
-    net_hpwl: Vec<f64>,
-    /// Running sum of `net_hpwl`, exact (see [`SynthState::delta_cost`]).
-    hpwl_total: f64,
-    /// Scratch: dirty flags + list of nets touched by the current move.
-    net_dirty: Vec<bool>,
-    dirty_nets: Vec<u32>,
-    /// Journal of `(net, previous HPWL)` overwritten by the current move.
-    undo_hpwl: Vec<(u32, f64)>,
-    /// Pre-move cost and HPWL total snapshots for O(1) restore on revert.
+    /// Each net's component tiles, in module net order, and their cached
+    /// HPWL (delta mode).
+    hpwl: HpwlJournal,
+    /// Pre-move cost snapshot for O(1) restore on revert.
     snap_cost: f64,
-    snap_hpwl: f64,
     undo: Option<Move>,
     evals_full: u64,
     evals_delta: u64,
@@ -214,7 +201,7 @@ impl SynthState<'_> {
         } else {
             1.0
         };
-        let elongation = 1.0 + self.aspect_weight * (aspect - 2.0).max(0.0);
+        let elongation = 1.0 + ASPECT_WEIGHT * (aspect - 2.0).max(0.0);
         area.as_f64() * elongation
     }
 
@@ -240,43 +227,14 @@ impl SynthState<'_> {
             }
             hpwl += (max_x - min_x) + (max_y - min_y);
         }
-        self.box_cost(eval.width, eval.height, eval.area()) + self.wire_weight * hpwl
+        self.box_cost(eval.width, eval.height, eval.area()) + WIRE_WEIGHT * hpwl
     }
 
-    /// HPWL contribution of one net from the delta evaluator's current
-    /// placements. Mirrors the per-net loop in
-    /// [`SynthState::evaluate_cost`] operation-for-operation.
-    fn net_contribution(&self, net: usize) -> f64 {
-        let comps = &self.net_comps[net];
-        if comps.len() < 2 {
-            return 0.0;
-        }
-        let placements = self.eval.placements();
-        let mut min_x = f64::MAX;
-        let mut max_x = f64::MIN;
-        let mut min_y = f64::MAX;
-        let mut max_y = f64::MIN;
-        for &d in comps {
-            let r = placements[d];
-            let cx = r.origin().x.as_f64() + r.width().as_f64() / 2.0;
-            let cy = r.origin().y.as_f64() + r.height().as_f64() / 2.0;
-            min_x = min_x.min(cx);
-            max_x = max_x.max(cx);
-            min_y = min_y.min(cy);
-            max_y = max_y.max(cy);
-        }
-        (max_x - min_x) + (max_y - min_y)
-    }
-
-    /// Cost from the running HPWL total, which equals the reference's
-    /// ordered sum bit for bit. Tile corners and sizes are integer λ, so
-    /// every centre, net HPWL and `fresh − old` step is a multiple of
-    /// 0.5 λ; while the total stays below 2^52 λ (far above any layout
-    /// here) every partial sum is exact in any order, and two-pin-less
-    /// nets add +0.0.
+    /// Cost from the journal's exact HPWL total, which equals the
+    /// reference's ordered sum bit for bit.
     fn delta_cost(&self) -> f64 {
         self.box_cost(self.eval.width(), self.eval.height(), self.eval.area())
-            + self.wire_weight * self.hpwl_total
+            + WIRE_WEIGHT * self.hpwl.total()
     }
 
     /// Full re-evaluation, in whichever representation the mode uses.
@@ -289,13 +247,7 @@ impl SynthState<'_> {
             }
             EvalMode::Delta => {
                 self.eval.rebuild(&self.expr, &self.tiles);
-                let mut total = 0.0f64;
-                for k in 0..self.net_hpwl.len() {
-                    let v = self.net_contribution(k);
-                    self.net_hpwl[k] = v;
-                    total += v;
-                }
-                self.hpwl_total = total;
+                self.hpwl.rebuild(tile_centre(self.eval.placements()));
                 self.cached_cost = self.delta_cost();
             }
         }
@@ -308,24 +260,10 @@ impl SynthState<'_> {
     fn apply_delta(&mut self, lo: usize, hi: usize) {
         self.evals_delta += 1;
         self.eval.update(&self.expr, &self.tiles, lo, hi);
-        self.undo_hpwl.clear();
-        self.dirty_nets.clear();
         for &t in self.eval.changed_tiles() {
-            for &k in &self.tile_nets[t as usize] {
-                if !self.net_dirty[k as usize] {
-                    self.net_dirty[k as usize] = true;
-                    self.dirty_nets.push(k);
-                }
-            }
+            self.hpwl.mark(t);
         }
-        for idx in 0..self.dirty_nets.len() {
-            let k = self.dirty_nets[idx] as usize;
-            self.net_dirty[k] = false;
-            let fresh = self.net_contribution(k);
-            let old = std::mem::replace(&mut self.net_hpwl[k], fresh);
-            self.hpwl_total += fresh - old;
-            self.undo_hpwl.push((k as u32, old));
-        }
+        self.hpwl.settle(tile_centre(self.eval.placements()));
         self.cached_cost = self.delta_cost();
     }
 }
@@ -363,16 +301,12 @@ impl AnnealState for SynthState<'_> {
                     mv => mv.span(),
                 };
                 self.snap_cost = self.cached_cost;
-                self.snap_hpwl = self.hpwl_total;
+                self.hpwl.begin();
                 match span {
                     Some((lo, hi)) => self.apply_delta(lo, hi),
-                    None => {
-                        // Rejected move: nothing changed, but the engine
-                        // may still call `revert`, which must then be a
-                        // no-op.
-                        self.eval.clear_undo();
-                        self.undo_hpwl.clear();
-                    }
+                    // Rejected move: nothing changed, but the engine may
+                    // still call `revert`, which must then be a no-op.
+                    None => self.eval.clear_undo(),
                 }
             }
         }
@@ -386,10 +320,7 @@ impl AnnealState for SynthState<'_> {
             EvalMode::Full => self.refresh(),
             EvalMode::Delta => {
                 self.eval.revert();
-                for (k, v) in self.undo_hpwl.drain(..).rev() {
-                    self.net_hpwl[k as usize] = v;
-                }
-                self.hpwl_total = self.snap_hpwl;
+                self.hpwl.revert();
                 self.cached_cost = self.snap_cost;
             }
         }
@@ -397,6 +328,17 @@ impl AnnealState for SynthState<'_> {
 
     fn eval_counts(&self) -> (u64, u64) {
         (self.evals_full, self.evals_delta)
+    }
+}
+
+/// The journal's centre lookup over placed tiles.
+fn tile_centre(placements: &[Rect]) -> impl Fn(u32) -> (f64, f64) + '_ {
+    |t| {
+        let r = placements[t as usize];
+        (
+            r.origin().x.as_f64() + r.width().as_f64() / 2.0,
+            r.origin().y.as_f64() + r.height().as_f64() / 2.0,
+        )
     }
 }
 
@@ -488,43 +430,22 @@ fn synthesize_with_seed(
         .collect();
 
     let expr = PolishExpr::initial(tiles.len());
-    let net_comps: Vec<Vec<usize>> = module
+    let nets = module
         .nets()
-        .map(|(_, net)| net.components().iter().map(|d| d.index()).collect())
+        .map(|(_, net)| net.components().iter().map(|d| d.index() as u32).collect())
         .collect();
-    let mut tile_nets: Vec<Vec<u32>> = vec![Vec::new(); tiles.len()];
-    for (k, comps) in net_comps.iter().enumerate() {
-        // One-pin nets never contribute HPWL, so they never need
-        // recomputation either.
-        if comps.len() < 2 {
-            continue;
-        }
-        for &d in comps {
-            tile_nets[d].push(k as u32);
-        }
-    }
     let initial_eval = evaluate(&expr, &tiles);
     let delta = DeltaEval::new(&expr, &tiles);
-    let net_count = net_comps.len();
     let mut state = SynthState {
         module,
+        hpwl: HpwlJournal::new(tiles.len(), nets),
         tiles,
         expr,
-        wire_weight: params.wire_weight,
-        aspect_weight: params.aspect_weight,
         mode,
         cached_cost: 0.0,
         cached_eval: initial_eval,
         eval: delta,
-        net_comps,
-        tile_nets,
-        net_hpwl: vec![0.0; net_count],
-        hpwl_total: 0.0,
-        net_dirty: vec![false; net_count],
-        dirty_nets: Vec::new(),
-        undo_hpwl: Vec::new(),
         snap_cost: 0.0,
-        snap_hpwl: 0.0,
         undo: None,
         evals_full: 0,
         evals_delta: 0,

@@ -49,7 +49,8 @@ pub trait AnnealState: Clone {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnnealSchedule {
     /// Starting temperature. Chosen so that early uphill moves are mostly
-    /// accepted; [`AnnealSchedule::calibrated`] derives it from the state.
+    /// accepted; each walk of [`anneal_replicas`] derives it from the
+    /// state.
     pub initial_temp: f64,
     /// Geometric cooling factor per round, in `(0, 1)`.
     pub cooling: f64,
@@ -89,7 +90,12 @@ impl AnnealSchedule {
     /// seeded walk that follows starts from exactly the state it was
     /// handed — calibration can never leak probe moves into the result,
     /// even for states whose `revert` is only approximate.
-    pub fn calibrated<S: AnnealState>(mut self, state: &mut S, seed: u64, probes: usize) -> Self {
+    pub(crate) fn calibrated<S: AnnealState>(
+        mut self,
+        state: &mut S,
+        seed: u64,
+        probes: usize,
+    ) -> Self {
         let snapshot = state.clone();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_CA11B7A7E5);
         let mut uphill_sum = 0.0;
@@ -114,18 +120,18 @@ impl AnnealSchedule {
 
 /// Work-size floor for the replica fan-out: below this many work items
 /// (nets, tiles, blocks — whatever the caller anneals over) the replica
-/// walks run serially on the caller thread; at or above it they run on at
-/// most [`std::thread::available_parallelism`] scoped workers, whatever
-/// the replica count. The reduction is index-based, so the serial and
-/// threaded paths produce bit-identical results; the threshold only
-/// avoids paying thread spawns for toy problems.
+/// walks run serially on the caller thread; at or above it two or more
+/// walks run on at most [`std::thread::available_parallelism`] scoped
+/// workers, whatever the replica count. The reduction is index-based, so
+/// the serial and threaded paths produce bit-identical results; the
+/// threshold only avoids paying thread spawns for toy problems.
 pub const DEFAULT_REPLICA_WORK_THRESHOLD: usize = 16;
 
 /// Derives replica `r`'s RNG seed from the base seed. Replica 0 uses the
 /// base seed unchanged — a one-replica run reproduces the single-walk
 /// result bit for bit — and later replicas take a SplitMix64 step so
 /// nearby base seeds still give decorrelated walks.
-pub fn replica_seed(base: u64, replica: usize) -> u64 {
+pub(crate) fn replica_seed(base: u64, replica: usize) -> u64 {
     if replica == 0 {
         return base;
     }
@@ -139,18 +145,20 @@ pub fn replica_seed(base: u64, replica: usize) -> u64 {
 /// starting state, plus one optional *warm* walk from a prior solution,
 /// and reduces to the best final cost with a deterministic tie-break
 /// (lowest cost, then lowest walk index). Each walk calibrates its own
-/// schedule from [`AnnealSchedule::calibrated`] with `probes` probe moves
-/// under its own seed.
+/// schedule (twice the mean uphill delta of `probes` probe moves under
+/// its own seed, each reverted, from a restored pre-probe snapshot) and
+/// then runs the Metropolis loop under that seed.
 ///
 /// The walks are one list of start states: `replicas` clones of `state`
 /// at indices `0..replicas` and the warm seed, if any, at index
-/// `replicas`. `replicas = 1` with no warm seed runs today's
-/// calibrate-then-anneal sequence in place — no clone, no spawn — and is
-/// bit-identical to calling [`anneal`] directly. Otherwise the walks fan
-/// out over `min(available_parallelism, walks)` scoped workers that take
-/// walk indices in order, so a request for a thousand replicas starts no
-/// more threads than the host has cores (the walks run serially on the
-/// caller thread when `work_size` is below
+/// `replicas`. Walk 0's seed is `base_seed` itself. A list of one walk
+/// runs on the calling thread whatever `work_size` is — one clone, no
+/// spawn — and the reduction returns that walk, so `replicas = 1` is
+/// bit-identical to calibrating and annealing `state` in place. Longer
+/// lists fan out over `min(available_parallelism, walks)` scoped workers
+/// that take walk indices in order, so a request for a thousand replicas
+/// starts no more threads than the host has cores (the walks run
+/// serially on the caller thread when `work_size` is below
 /// [`DEFAULT_REPLICA_WORK_THRESHOLD`]); results are reduced in walk
 /// order, so the reduction is independent of thread scheduling.
 ///
@@ -160,17 +168,19 @@ pub fn replica_seed(base: u64, replica: usize) -> u64 {
 ///
 /// * **never worse than cold**: every cold walk of the unseeded run is
 ///   present unchanged, so the reduced cost can only match or beat it;
-/// * **never worse than the seed**: [`anneal`] counts the starting state
-///   as "best seen", so the warm walk's cost never exceeds the seed's.
+/// * **never worse than the seed**: a walk counts its starting state as
+///   "best seen", so the warm walk's cost never exceeds the seed's.
 ///
 /// When the warm walk does not strictly win, the cold walks' winner is
 /// kept — the result is then identical to the unseeded run.
 ///
 /// Emits `anneal.replicas` (every walk, the warm one included) and
 /// `anneal.replica_best` counters, plus `anneal.warm_walks` and
-/// `anneal.warm_best` (1 when the warm walk won) for a warm run; a worker
-/// labels its thread `replica-{r}` before it runs walk `r`, so each
-/// walk's spans and accept/reject counters carry per-replica attribution.
+/// `anneal.warm_best` (1 when the warm walk won) for a warm run. Every
+/// walk runs in an `anneal.replica` span under one `anneal.replica_set`
+/// span; a worker labels its thread `replica-{r}` before it runs walk
+/// `r`, so each walk's spans and accept/reject counters carry
+/// per-replica attribution.
 pub fn anneal_replicas<S: AnnealState + Send>(
     state: &mut S,
     warm: Option<S>,
@@ -181,13 +191,6 @@ pub fn anneal_replicas<S: AnnealState + Send>(
     work_size: usize,
 ) -> f64 {
     let replicas = replicas.max(1);
-    if replicas == 1 && warm.is_none() {
-        let schedule = schedule.clone().calibrated(state, base_seed, probes);
-        let cost = anneal(state, &schedule, base_seed);
-        trace::counter("anneal.replicas", 1);
-        trace::counter("anneal.replica_best", 0);
-        return cost;
-    }
     let warm_walk = warm.is_some();
     let set_span = trace::span_with("anneal.replica_set", || {
         let warm = if warm_walk { " warm=1" } else { "" };
@@ -208,7 +211,7 @@ pub fn anneal_replicas<S: AnnealState + Send>(
     starts.extend(warm);
     let total = starts.len();
     let walks = starts.into_iter().enumerate();
-    let results: Vec<(f64, S)> = if work_size < DEFAULT_REPLICA_WORK_THRESHOLD {
+    let results: Vec<(f64, S)> = if total == 1 || work_size < DEFAULT_REPLICA_WORK_THRESHOLD {
         walks.map(|(r, start)| run_replica(r, start)).collect()
     } else {
         let workers = std::thread::available_parallelism()
@@ -270,7 +273,7 @@ pub fn anneal_replicas<S: AnnealState + Send>(
 /// # Panics
 ///
 /// Panics if the schedule's cooling factor is outside `(0, 1)`.
-pub fn anneal<S: AnnealState>(state: &mut S, schedule: &AnnealSchedule, seed: u64) -> f64 {
+pub(crate) fn anneal<S: AnnealState>(state: &mut S, schedule: &AnnealSchedule, seed: u64) -> f64 {
     assert!(
         schedule.cooling > 0.0 && schedule.cooling < 1.0,
         "cooling factor {} outside (0, 1)",
@@ -696,23 +699,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), seeds.len(), "derived seeds must not collide");
-    }
-
-    #[test]
-    fn warm_none_delegates_bit_for_bit() {
-        let run_plain = || {
-            let mut s = SortState::new(20, 3);
-            let cost =
-                anneal_replicas(&mut s, None, &AnnealSchedule::quick(), 7, 3, 32, usize::MAX);
-            (cost, s.values)
-        };
-        let run_warm_none = || {
-            let mut s = SortState::new(20, 3);
-            let cost =
-                anneal_replicas(&mut s, None, &AnnealSchedule::quick(), 7, 3, 32, usize::MAX);
-            (cost, s.values)
-        };
-        assert_eq!(run_plain(), run_warm_none());
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! The generic annealing engine lives in [`anneal`] and is shared with the
 //! full-custom synthesizer and the floorplanner, which also share the
 //! slicing expression they anneal and its delta evaluator ([`postfix`]).
+//! The row placer and the synthesizer also share one exact, journaled
+//! per-net wirelength cache, [`HpwlJournal`].
 //!
 //! # Examples
 //!
@@ -43,12 +45,11 @@
 
 pub mod anneal;
 pub mod feedthrough;
+mod hpwl;
 pub mod placement;
 pub mod postfix;
 pub mod row_model;
 
-pub use anneal::{
-    anneal, anneal_replicas, replica_seed, AnnealSchedule, AnnealState,
-    DEFAULT_REPLICA_WORK_THRESHOLD,
-};
+pub use anneal::{anneal_replicas, AnnealSchedule, AnnealState, DEFAULT_REPLICA_WORK_THRESHOLD};
+pub use hpwl::HpwlJournal;
 pub use placement::{place, PlaceParams, PlacedCell, PlacedModule, PlacedRow};

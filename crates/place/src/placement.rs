@@ -10,7 +10,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::anneal::{anneal_replicas, AnnealSchedule, AnnealState};
 use crate::feedthrough;
+use crate::hpwl::HpwlJournal;
 use crate::row_model;
+
+/// Weight of the row-width-imbalance penalty relative to wirelength.
+const BALANCE_WEIGHT: f64 = 0.5;
 
 /// Parameters of a placement run.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,8 +25,6 @@ pub struct PlaceParams {
     pub seed: u64,
     /// Cooling schedule.
     pub schedule: AnnealSchedule,
-    /// Weight of the row-width-imbalance penalty relative to wirelength.
-    pub balance_weight: f64,
     /// Independently seeded annealing walks to run and reduce best-of
     /// (`1` = single walk, bit-identical to the pre-replica engine).
     pub replicas: usize,
@@ -34,7 +36,6 @@ impl Default for PlaceParams {
             rows: 2,
             seed: 1988,
             schedule: AnnealSchedule::default(),
-            balance_weight: 0.5,
             replicas: 1,
         }
     }
@@ -193,15 +194,12 @@ enum EvalMode {
 struct PlaceState {
     /// Device widths by device index.
     widths: Vec<i64>,
-    /// For each net: participating device indices (deduplicated).
-    nets: Vec<Vec<u32>>,
     /// Rows of device indices.
     rows: Vec<Vec<u32>>,
     /// Inverse map: device -> row.
     row_of: Vec<u32>,
     /// Vertical distance between adjacent row centerlines.
     y_pitch: f64,
-    balance_weight: f64,
     target_row_width: f64,
     mode: EvalMode,
     cached_cost: f64,
@@ -209,22 +207,13 @@ struct PlaceState {
     x: Vec<f64>,
     /// Cached total cell width per row (delta mode).
     row_width: Vec<i64>,
-    /// Cached per-net HPWL contributions, in net order (delta mode).
-    net_hpwl: Vec<f64>,
-    /// Running sum of `net_hpwl`, exact (see [`PlaceState::delta_cost`]).
-    hpwl_total: f64,
-    /// Nets with ≥ 2 pins incident to each device.
-    dev_nets: Vec<Vec<u32>>,
-    /// Scratch: dirty flags + list of nets touched by the current move.
-    net_dirty: Vec<bool>,
-    dirty_nets: Vec<u32>,
+    /// Each net's devices and their cached HPWL (delta mode).
+    hpwl: HpwlJournal,
     // Undo journals for the caches overwritten by the current move.
     undo_x: Vec<(u32, f64)>,
-    undo_hpwl: Vec<(u32, f64)>,
     undo_roww: Vec<(u32, i64)>,
-    /// Pre-move cost and HPWL total snapshots for O(1) restore on revert.
+    /// Pre-move cost snapshot for O(1) restore on revert.
     snap_cost: f64,
-    snap_hpwl: f64,
     undo: Option<UndoMove>,
     evals_full: u64,
     evals_delta: u64,
@@ -253,7 +242,7 @@ impl PlaceState {
     fn compute_cost(&self) -> f64 {
         let x = self.x_centers();
         let mut hpwl = 0.0;
-        for net in &self.nets {
+        for net in self.hpwl.nets() {
             if net.len() < 2 {
                 continue;
             }
@@ -279,45 +268,19 @@ impl PlaceState {
                 (w as f64 - self.target_row_width).abs()
             })
             .sum();
-        hpwl + self.balance_weight * balance
+        hpwl + BALANCE_WEIGHT * balance
     }
 
-    /// HPWL contribution of one net from the cached centers. Mirrors the
-    /// per-net loop in [`PlaceState::compute_cost`]
-    /// operation-for-operation.
-    fn net_contribution(&self, k: usize) -> f64 {
-        let net = &self.nets[k];
-        if net.len() < 2 {
-            return 0.0;
-        }
-        let mut min_x = f64::MAX;
-        let mut max_x = f64::MIN;
-        let mut min_y = f64::MAX;
-        let mut max_y = f64::MIN;
-        for &d in net {
-            let cx = self.x[d as usize];
-            let cy = self.row_of[d as usize] as f64 * self.y_pitch;
-            min_x = min_x.min(cx);
-            max_x = max_x.max(cx);
-            min_y = min_y.min(cy);
-            max_y = max_y.max(cy);
-        }
-        (max_x - min_x) + (max_y - min_y)
-    }
-
-    /// Cost from the running HPWL total and the cached row widths, equal
-    /// to the reference accumulation bit for bit. Cell widths and the row
-    /// pitch are integer λ, so every centre, net HPWL and `fresh − old`
-    /// step is a multiple of 0.5 λ; while the total stays below 2^52 λ
-    /// (far above any placement here) every partial sum is exact in any
-    /// order, and two-pin-less nets add +0.0. Rows sum in row order.
+    /// Cost from the journal's exact HPWL total and the cached row
+    /// widths, equal to the reference accumulation bit for bit. Rows sum
+    /// in row order.
     fn delta_cost(&self) -> f64 {
         let balance: f64 = self
             .row_width
             .iter()
             .map(|&w| (w as f64 - self.target_row_width).abs())
             .sum();
-        self.hpwl_total + self.balance_weight * balance
+        self.hpwl.total() + BALANCE_WEIGHT * balance
     }
 
     /// Full re-evaluation, in whichever representation the mode uses.
@@ -330,28 +293,12 @@ impl PlaceState {
                 for r in 0..self.rows.len() {
                     self.row_width[r] = self.rows[r].iter().map(|&d| self.widths[d as usize]).sum();
                 }
-                let mut total = 0.0f64;
-                for k in 0..self.net_hpwl.len() {
-                    let v = self.net_contribution(k);
-                    self.net_hpwl[k] = v;
-                    total += v;
-                }
-                self.hpwl_total = total;
+                self.hpwl
+                    .rebuild(device_centre(&self.x, &self.row_of, self.y_pitch));
                 self.cached_cost = self.delta_cost();
                 // A rebuild is not revertible.
                 self.undo_x.clear();
-                self.undo_hpwl.clear();
                 self.undo_roww.clear();
-            }
-        }
-    }
-
-    /// Marks every ≥ 2-pin net incident to `d` for recomputation.
-    fn mark_device(&mut self, d: u32) {
-        for &k in &self.dev_nets[d as usize] {
-            if !self.net_dirty[k as usize] {
-                self.net_dirty[k as usize] = true;
-                self.dirty_nets.push(k);
             }
         }
     }
@@ -377,7 +324,7 @@ impl PlaceState {
             if nx != self.x[d] {
                 self.undo_x
                     .push((d as u32, std::mem::replace(&mut self.x[d], nx)));
-                self.mark_device(d as u32);
+                self.hpwl.mark(d as u32);
             }
             acc += w;
         }
@@ -394,9 +341,7 @@ impl PlaceState {
     fn apply_delta(&mut self, touched: [(u32, usize); 2], moved: [u32; 2]) {
         self.evals_delta += 1;
         self.undo_x.clear();
-        self.undo_hpwl.clear();
         self.undo_roww.clear();
-        self.dirty_nets.clear();
         let [(ra, ia), (rb, ib)] = touched;
         if ra == rb {
             self.recompute_row(ra, ia.min(ib));
@@ -406,20 +351,23 @@ impl PlaceState {
         }
         // Moved devices may keep their x (equal-width swap) but still
         // change row — their nets are always dirty.
-        self.mark_device(moved[0]);
+        self.hpwl.mark(moved[0]);
         if moved[1] != moved[0] {
-            self.mark_device(moved[1]);
+            self.hpwl.mark(moved[1]);
         }
-        for idx in 0..self.dirty_nets.len() {
-            let k = self.dirty_nets[idx] as usize;
-            self.net_dirty[k] = false;
-            let fresh = self.net_contribution(k);
-            let old = std::mem::replace(&mut self.net_hpwl[k], fresh);
-            self.hpwl_total += fresh - old;
-            self.undo_hpwl.push((k as u32, old));
-        }
+        self.hpwl
+            .settle(device_centre(&self.x, &self.row_of, self.y_pitch));
         self.cached_cost = self.delta_cost();
     }
+}
+
+/// The journal's centre lookup over cached x centres and row indices.
+fn device_centre<'a>(
+    x: &'a [f64],
+    row_of: &'a [u32],
+    y_pitch: f64,
+) -> impl Fn(u32) -> (f64, f64) + 'a {
+    move |d| (x[d as usize], row_of[d as usize] as f64 * y_pitch)
 }
 
 impl AnnealState for PlaceState {
@@ -478,7 +426,7 @@ impl AnnealState for PlaceState {
             EvalMode::Full => self.refresh_cost(),
             EvalMode::Delta => {
                 self.snap_cost = self.cached_cost;
-                self.snap_hpwl = self.hpwl_total;
+                self.hpwl.begin();
                 self.apply_delta(touched, moved);
             }
         }
@@ -519,13 +467,10 @@ impl AnnealState for PlaceState {
                 for (d, v) in self.undo_x.drain(..).rev() {
                     self.x[d as usize] = v;
                 }
-                for (k, v) in self.undo_hpwl.drain(..).rev() {
-                    self.net_hpwl[k as usize] = v;
-                }
+                self.hpwl.revert();
                 for (r, v) in self.undo_roww.drain(..).rev() {
                     self.row_width[r as usize] = v;
                 }
-                self.hpwl_total = self.snap_hpwl;
                 self.cached_cost = self.snap_cost;
             }
         }
@@ -619,41 +564,22 @@ fn place_with(
         .collect();
 
     let total_width: i64 = widths.iter().map(|w| w.get()).sum();
-    let mut dev_nets: Vec<Vec<u32>> = vec![Vec::new(); module.device_count()];
-    for (k, net) in nets.iter().enumerate() {
-        // One-pin nets never contribute HPWL, so they never need
-        // recomputation either.
-        if net.len() < 2 {
-            continue;
-        }
-        for &d in net {
-            dev_nets[d as usize].push(k as u32);
-        }
-    }
     let net_count = nets.len();
     let row_count = rows.len();
     let mut state = PlaceState {
         widths: widths.iter().map(|w| w.get()).collect(),
-        nets,
+        hpwl: HpwlJournal::new(module.device_count(), nets),
         rows,
         row_of,
         y_pitch: (tech.row_height() + tech.track_pitch() * 3).as_f64(),
-        balance_weight: params.balance_weight,
         target_row_width: total_width as f64 / params.rows as f64,
         mode,
         cached_cost: 0.0,
         x: Vec::new(),
         row_width: vec![0; row_count],
-        net_hpwl: vec![0.0; net_count],
-        hpwl_total: 0.0,
-        dev_nets,
-        net_dirty: vec![false; net_count],
-        dirty_nets: Vec::new(),
         undo_x: Vec::new(),
-        undo_hpwl: Vec::new(),
         undo_roww: Vec::new(),
         snap_cost: 0.0,
-        snap_hpwl: 0.0,
         undo: None,
         evals_full: 0,
         evals_delta: 0,

@@ -225,6 +225,60 @@ fn replica_annealing_attributes_each_walk_to_its_thread() {
 }
 
 #[test]
+fn a_single_walk_runs_inline_under_one_replica_span() {
+    use maestro::prelude::*;
+    let m = generate::ripple_adder(4);
+    assert!(
+        m.net_count() >= maestro::place::DEFAULT_REPLICA_WORK_THRESHOLD,
+        "fixture must be above the work threshold, has {} nets",
+        m.net_count()
+    );
+    let collector = Arc::new(trace::Collector::new());
+    trace::with_sink(collector.clone(), || {
+        place(
+            &m,
+            &builtin::nmos25(),
+            &PlaceParams {
+                rows: 2,
+                replicas: 1,
+                schedule: maestro::place::AnnealSchedule::quick(),
+                ..PlaceParams::default()
+            },
+        )
+        .expect("places");
+    });
+    let spans = collector.spans();
+    let place_span = spans.iter().find(|s| s.name == "place").expect("place");
+    let sets: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "anneal.replica_set")
+        .collect();
+    assert_eq!(sets.len(), 1, "one replica set");
+    assert_eq!(sets[0].detail, "replicas=1");
+    let walks: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "anneal.replica")
+        .collect();
+    assert_eq!(walks.len(), 1, "one walk");
+    let walk = walks[0];
+    assert_eq!(walk.parent, sets[0].id);
+    assert_eq!(walk.detail, "replica=0");
+    assert_eq!(
+        walk.thread, place_span.thread,
+        "the walk runs on the calling thread"
+    );
+    assert!(
+        !spans.iter().any(|s| s.thread.starts_with("replica-")),
+        "no thread takes a replica label"
+    );
+    let inner: Vec<_> = spans.iter().filter(|s| s.name == "anneal").collect();
+    assert_eq!(inner.len(), 1);
+    assert_eq!(inner[0].parent, walk.id, "anneal nests under the walk");
+    assert_eq!(collector.counter_total("anneal.replicas"), 1);
+    assert_eq!(collector.counter_total("anneal.replica_best"), 0);
+}
+
+#[test]
 fn folded_report_self_times_telescope_to_the_root() {
     // Self times partition the root duration on a serial batch. Worker
     // threads overlap in wall time, so on a 2-worker batch `work_us` lands
