@@ -11,7 +11,7 @@ use maestro::estimator::multi_aspect::{
     sc_candidates_uncached, sc_candidates_using, DEFAULT_CANDIDATES,
 };
 use maestro::estimator::pipeline::Pipeline;
-use maestro::estimator::prob::{ProbTable, MAX_ROWS};
+use maestro::estimator::prob::ProbTable;
 use maestro::estimator::standard_cell::{self, ScParams};
 use maestro::netlist::chip::{ChipFamily, ChipSpec};
 use maestro::netlist::generate::{self, RandomLogicConfig};
@@ -92,7 +92,7 @@ fn bench_batch(c: &mut Criterion) {
             resolved
                 .iter()
                 .map(|stats| {
-                    let rows = standard_cell::initial_rows(stats, &tech, MAX_ROWS);
+                    let rows = standard_cell::initial_rows(stats, &tech);
                     let primary = standard_cell::estimate_with_rows_uncached(stats, &tech, rows);
                     let sweep = sc_candidates_uncached(stats, &tech, DEFAULT_CANDIDATES);
                     (primary, sweep)
@@ -108,7 +108,7 @@ fn bench_batch(c: &mut Criterion) {
             resolved
                 .iter()
                 .map(|stats| {
-                    let rows = standard_cell::initial_rows(stats, &tech, MAX_ROWS);
+                    let rows = standard_cell::initial_rows(stats, &tech);
                     let primary =
                         standard_cell::estimate_with_rows_using(stats, &tech, rows, &table);
                     let sweep = sc_candidates_using(
@@ -140,7 +140,7 @@ fn bench_batch(c: &mut Criterion) {
                 .map(|m| {
                     let stats = NetlistStats::resolve(m, &tech, LayoutStyle::StandardCell)
                         .expect("batch modules are gate-level");
-                    let rows = standard_cell::initial_rows(&stats, &tech, MAX_ROWS);
+                    let rows = standard_cell::initial_rows(&stats, &tech);
                     let primary = standard_cell::estimate_with_rows_uncached(&stats, &tech, rows);
                     let sweep = sc_candidates_uncached(&stats, &tech, DEFAULT_CANDIDATES);
                     let fc = NetlistStats::resolve(m, &tech, LayoutStyle::FullCustom).ok();

@@ -45,7 +45,7 @@ pub fn sc_candidates(stats: &NetlistStats, tech: &ProcessDb, count: usize) -> Ve
 
 /// [`sc_candidates`] against explicit estimator parameters and an
 /// explicit probability table. The window centres on `params.rows` when
-/// set (instead of the §5 seed) and never exceeds `params.max_rows`, so
+/// set (instead of the §5 seed) and never exceeds [`MAX_ROWS`], so
 /// a pipeline-level row override shifts the whole sweep.
 ///
 /// # Panics
@@ -84,7 +84,7 @@ pub fn sc_candidates_uncached(
 
 /// The candidate row counts: a window of `count` row counts centred on
 /// the resolved seed (`params.rows`, else §5), clamped to
-/// `1..=params.max_rows`, deduplicated and ascending.
+/// `1..=MAX_ROWS`, deduplicated and ascending.
 fn candidate_rows(
     stats: &NetlistStats,
     tech: &ProcessDb,
@@ -92,17 +92,16 @@ fn candidate_rows(
     params: &ScParams,
 ) -> Vec<u32> {
     assert!(count > 0, "need at least one candidate");
-    let max_rows = params.max_rows.clamp(1, MAX_ROWS);
     let seed = params
         .rows
-        .map(|r| r.clamp(1, max_rows))
-        .unwrap_or_else(|| initial_rows(stats, tech, params.max_rows));
+        .map(|r| r.clamp(1, MAX_ROWS))
+        .unwrap_or_else(|| initial_rows(stats, tech));
     // Exactly `count` deltas centred on the seed (an even count's odd
     // slot goes toward more rows), so no post-hoc truncation can skew
     // the window.
     let lo = seed as i64 - (count as i64 - 1) / 2;
     let mut rows: Vec<u32> = (lo..lo + count as i64)
-        .map(|r| r.clamp(1, max_rows as i64) as u32)
+        .map(|r| r.clamp(1, MAX_ROWS as i64) as u32)
         .collect();
     rows.sort_unstable();
     rows.dedup();
@@ -210,7 +209,7 @@ mod tests {
         // doesn't intervene, and never more than `count`.
         let tech = builtin::nmos25();
         let stats = sc_stats(&generate::ripple_adder(4));
-        let seed = initial_rows(&stats, &tech, MAX_ROWS) as i64;
+        let seed = initial_rows(&stats, &tech) as i64;
         for count in 1..=8usize {
             let rows = candidate_rows(&stats, &tech, count, &ScParams::default());
             assert!(rows.len() <= count, "count {count} gave {rows:?}");

@@ -35,7 +35,7 @@ pub const DEFAULT_RESULTS_CAPACITY: usize = 8192;
 /// technology) pair.
 pub fn params_digest(params: &ScParams) -> u64 {
     let (tag, rows) = params.rows.map_or((0, 0), |rows| (1, u64::from(rows)));
-    let words = [tag, rows, u64::from(params.max_rows)];
+    let words = [tag, rows];
     let h = content_hash128(&words.map(u64::to_le_bytes).concat());
     (h ^ (h >> 64)) as u64
 }
@@ -173,23 +173,12 @@ mod tests {
     #[test]
     fn params_digest_separates_every_field() {
         let base = ScParams::default();
-        let explicit = ScParams {
-            rows: Some(4),
-            ..base
-        };
-        let other_rows = ScParams {
-            rows: Some(5),
-            ..base
-        };
-        let capped = ScParams {
-            max_rows: base.max_rows + 1,
-            ..base
-        };
+        let explicit = ScParams::with_rows(4);
+        let other_rows = ScParams::with_rows(5);
         let digests = [
             params_digest(&base),
             params_digest(&explicit),
             params_digest(&other_rows),
-            params_digest(&capped),
         ];
         for (i, a) in digests.iter().enumerate() {
             for b in digests.iter().skip(i + 1) {

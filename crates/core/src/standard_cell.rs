@@ -34,31 +34,17 @@ use crate::feedthrough::expected_feedthroughs;
 use crate::prob::{expected_tracks, ProbTable, MAX_COMPONENTS, MAX_ROWS};
 
 /// Tuning knobs for the standard-cell estimator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScParams {
     /// Explicit row count; `None` runs §5's initial-row-count algorithm.
     pub rows: Option<u32>,
-    /// Upper bound on the row count explored by the §5 algorithm.
-    pub max_rows: u32,
-}
-
-impl Default for ScParams {
-    fn default() -> Self {
-        ScParams {
-            rows: None,
-            max_rows: MAX_ROWS,
-        }
-    }
 }
 
 impl ScParams {
     /// Parameters forcing an explicit row count (the paper's Table 2 rows
     /// sweep).
     pub fn with_rows(rows: u32) -> Self {
-        ScParams {
-            rows: Some(rows),
-            ..ScParams::default()
-        }
+        ScParams { rows: Some(rows) }
     }
 }
 
@@ -138,21 +124,21 @@ pub fn total_tracks_uncached(stats: &NetlistStats, rows: u32) -> u32 {
 /// §5's initial-row-count algorithm: divide the square root of the active
 /// cell area by `i` row heights (starting at `i = 2`), and accept the
 /// first `n` whose row length fits all I/O ports; otherwise increase `i`
-/// (fewer, longer rows) and retry.
+/// (fewer, longer rows) and retry. The row count explored is bounded by
+/// [`MAX_ROWS`].
 ///
 /// # Panics
 ///
 /// Panics if the module has no devices.
-pub fn initial_rows(stats: &NetlistStats, tech: &ProcessDb, max_rows: u32) -> u32 {
+pub fn initial_rows(stats: &NetlistStats, tech: &ProcessDb) -> u32 {
     assert!(stats.device_count() > 0, "cannot size an empty module");
     let active_area = stats.total_device_area().as_f64();
     let row_height = tech.row_height().as_f64();
     let port_length = (stats.port_count() as i64 * tech.port_pitch().get()) as f64;
-    let max_rows = max_rows.clamp(1, MAX_ROWS);
 
     let mut i = 2u32;
     loop {
-        let n = ((active_area.sqrt() / (i as f64 * row_height)).ceil() as u32).clamp(1, max_rows);
+        let n = ((active_area.sqrt() / (i as f64 * row_height)).ceil() as u32).clamp(1, MAX_ROWS);
         let row_length = active_area / (n as f64 * row_height);
         if row_length >= port_length || n == 1 {
             return n;
@@ -268,9 +254,7 @@ pub fn estimate_using(
     params: &ScParams,
     table: &ProbTable,
 ) -> ScEstimate {
-    let rows = params
-        .rows
-        .unwrap_or_else(|| initial_rows(stats, tech, params.max_rows));
+    let rows = params.rows.unwrap_or_else(|| initial_rows(stats, tech));
     estimate_with_rows_using(stats, tech, rows, table)
 }
 
@@ -346,7 +330,7 @@ mod tests {
         let m = generate::ripple_adder(4); // 14 ports
         let stats = stats_of(&m);
         let tech = builtin::nmos25();
-        let n = initial_rows(&stats, &tech, MAX_ROWS);
+        let n = initial_rows(&stats, &tech);
         assert!(n >= 1);
         // The accepted row length must fit the ports (or be the 1-row
         // fallback).
