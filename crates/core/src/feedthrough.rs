@@ -36,7 +36,7 @@
 //! row across `H` independent nets is then binomial (Eq. 10), and its
 //! expectation (Eq. 11) `E(M) = H·p_c` is rounded **up**.
 
-use crate::prob::MAX_ROWS;
+use crate::prob::{binomial, MAX_ROWS};
 
 /// P(net with `components` components causes a feed-through in row `row`)
 /// — the closed form of Eq. 5. Rows are numbered from 1 (top) to `rows`.
@@ -104,26 +104,14 @@ pub fn eq5_probability(rows: u32, components: u32, row: u32) -> f64 {
         let rem = d - l;
         for j in 1..rem {
             let k = rem - j;
-            total += binomial_f64(d, l)
-                * binomial_f64(rem, j)
+            total += binomial(d, l)
+                * binomial(rem, j)
                 * p_in.powi(l as i32)
                 * p_above.powi(j as i32)
                 * p_below.powi(k as i32);
         }
     }
     total
-}
-
-fn binomial_f64(n: u32, k: u32) -> f64 {
-    if k > n {
-        return 0.0;
-    }
-    let k = k.min(n - k);
-    let mut acc = 1.0f64;
-    for j in 0..k {
-        acc = acc * (n - j) as f64 / (j + 1) as f64;
-    }
-    acc.round()
 }
 
 /// The per-row feed-through probability profile for one net:

@@ -58,7 +58,7 @@ pub const MAX_COMPONENTS: u32 = 256;
 /// probabilities built from the ratios of these coefficients. The kernel
 /// is kept as-is because [`ProbTable`] goldens pin its exact bits; see
 /// `fast_binomial_exactness_bound_is_55` for the exhaustive cross-check.
-fn binomial(n: u32, k: u32) -> f64 {
+pub(crate) fn binomial(n: u32, k: u32) -> f64 {
     if k > n {
         return 0.0;
     }
