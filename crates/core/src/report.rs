@@ -63,7 +63,8 @@ impl fmt::Display for ResultsDbError {
 
 impl Error for ResultsDbError {}
 
-/// The results database handed to the floorplanner.
+/// The results database handed to the floorplanner: one record per input
+/// module, in input order.
 ///
 /// # Examples
 ///
@@ -93,20 +94,14 @@ impl ResultsDb {
         ResultsDb::default()
     }
 
-    /// Adds or replaces the record for a module (name-keyed).
+    /// Appends a module's record. The database keeps one record per
+    /// input module, in input order, even when two modules share a name.
     pub fn insert(&mut self, record: EstimateRecord) {
-        if let Some(existing) = self
-            .records
-            .iter_mut()
-            .find(|r| r.module_name == record.module_name)
-        {
-            *existing = record;
-        } else {
-            self.records.push(record);
-        }
+        self.records.push(record);
     }
 
-    /// Looks up a module's record by name.
+    /// Looks up a module's record by name: the first, when several
+    /// modules share the name.
     pub fn record(&self, module_name: &str) -> Option<&EstimateRecord> {
         self.records.iter().find(|r| r.module_name == module_name)
     }
@@ -216,14 +211,18 @@ mod tests {
     }
 
     #[test]
-    fn insert_replaces_by_name() {
+    fn insert_keeps_every_record_in_order() {
         let mut db = ResultsDb::new();
-        let mut r = sample_record();
-        db.insert(r.clone());
-        r.standard_cell = None;
-        db.insert(r);
-        assert_eq!(db.len(), 1);
-        assert!(db.record("combo").unwrap().standard_cell.is_none());
+        let first = sample_record();
+        let mut second = first.clone();
+        second.standard_cell = None;
+        let mut other = first.clone();
+        other.module_name = "other".to_owned();
+        for r in [&first, &second, &other] {
+            db.insert(r.clone());
+        }
+        assert_eq!(db.records(), [first.clone(), second, other]);
+        assert_eq!(db.record("combo"), Some(&first), "the first record wins");
     }
 
     #[test]

@@ -802,6 +802,7 @@ impl Drop for Slot<'_> {
 mod tests {
     use super::*;
     use maestro_estimator::request::{EstimateRequest, ReportRequest, DEFAULT_FLOORPLAN_BACKEND};
+    use maestro_estimator::ResultsDb;
     use maestro_netlist::generate::{self, RandomLogicConfig};
 
     #[test]
@@ -881,6 +882,49 @@ mod tests {
         let hits = parse_hits(&session);
         assert_eq!(session.handle(&request).result, expected);
         assert_eq!(parse_hits(&session), hits + 3, "each module is a memo hit");
+    }
+
+    #[test]
+    fn an_estimate_over_sources_that_share_a_module_name_keeps_both_records() {
+        // Module `m` is one inverter in the first source and three in the
+        // second: the database keeps a record for each.
+        let sources = [
+            "module m;\ninput a;\noutput y;\ndevice u1 INV (A=a, Y=y);\nendmodule\n",
+            "module m;\ninput a;\noutput y;\nnet n1, n2;\ndevice u1 INV (A=a, Y=n1);\n\
+             device u2 INV (A=n1, Y=n2);\ndevice u3 INV (A=n2, Y=y);\nendmodule\n",
+        ];
+        let request = Request {
+            id: "e".to_owned(),
+            call: RequestCall::Estimate(EstimateRequest {
+                files: Vec::new(),
+                mnl: sources.map(str::to_owned).to_vec(),
+                tech: "nmos".to_owned(),
+                rows: None,
+                jobs: 1,
+                json: true,
+                incremental: false,
+            }),
+        };
+        let modules: Vec<Module> = sources
+            .iter()
+            .flat_map(|source| ops::parse_inline_mnl(source).expect("the source parses"))
+            .collect();
+        let one_shot = Pipeline::from_shared_tech(Arc::new(ops::load_tech("nmos").unwrap()));
+        let expected = ops::estimate_output(&one_shot, &modules, 1, true).expect("estimates");
+        let payload = isolated_session().handle(&request).result;
+        assert_eq!(payload, Ok(expected.clone()));
+        let db = ResultsDb::from_json(&expected).expect("a results database");
+        let names: Vec<&str> = db
+            .records()
+            .iter()
+            .map(|r| r.module_name.as_str())
+            .collect();
+        assert_eq!(names, ["m", "m"]);
+        assert_ne!(
+            db.records()[0],
+            db.records()[1],
+            "each input has its own record"
+        );
     }
 
     #[test]

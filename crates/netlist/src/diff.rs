@@ -24,8 +24,8 @@ use crate::{Module, ModuleFingerprint};
 /// The name → fingerprint shadow of one netlist revision.
 ///
 /// Names keep first-seen order (so diffs report in input order); a
-/// repeated name overwrites its fingerprint, matching the name-keyed
-/// replace semantics of the results database downstream.
+/// repeated name overwrites its fingerprint, since the manifest
+/// classifies names, not input modules.
 #[derive(Debug, Clone, Default)]
 pub struct RevisionManifest {
     order: Vec<String>,

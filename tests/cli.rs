@@ -641,10 +641,9 @@ fn report_renders_markdown_with_floorplan() {
     assert!(text.contains("logic depth"), "{text}");
 }
 
-#[test]
-fn report_pairs_each_module_with_its_own_estimate_when_names_repeat() {
-    // Module `m` is one inverter in a.mnl and three in b.mnl.
-    let dir = scratch_dir("report-repeated-name-test");
+/// Three designs in `dir`: module `m` is one inverter in a.mnl and three
+/// in b.mnl, and c.mnl holds module `k`, one NAND2.
+fn repeated_name_designs(dir: &std::path::Path) -> Vec<String> {
     let sources = [
         (
             "a.mnl",
@@ -660,10 +659,52 @@ fn report_pairs_each_module_with_its_own_estimate_when_names_repeat() {
             "module k;\ninput a, b;\noutput y;\ndevice g1 NAND2 (A=a, B=b, Y=y);\nendmodule\n",
         ),
     ];
-    let files: Vec<String> = sources
+    sources
         .iter()
-        .map(|(name, text)| write_design(&dir, name, &[text.to_string()]))
+        .map(|(name, text)| write_design(dir, name, &[text.to_string()]))
+        .collect()
+}
+
+#[test]
+fn estimate_keeps_one_record_per_input_module_when_names_repeat() {
+    let dir = scratch_dir("estimate-repeated-name-test");
+    let files = repeated_name_designs(&dir);
+    let run = |flags: &[&str]| -> Vec<u8> {
+        let out = cli()
+            .arg("estimate")
+            .args(&files)
+            .args(flags)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let text = run(&[]);
+    assert_eq!(
+        String::from_utf8_lossy(&text),
+        String::from_utf8_lossy(&run(&["--stream"])),
+        "the batch prints every module the stream prints"
+    );
+    let db = maestro::estimator::ResultsDb::from_json(&String::from_utf8_lossy(&run(&["--json"])))
+        .expect("valid JSON results DB");
+    let names: Vec<&str> = db
+        .records()
+        .iter()
+        .map(|r| r.module_name.as_str())
         .collect();
+    assert_eq!(names, ["m", "m", "k"]);
+    assert_eq!(db.records(), stream_records(&run(&["--stream", "--json"])));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn report_pairs_each_module_with_its_own_estimate_when_names_repeat() {
+    let dir = scratch_dir("report-repeated-name-test");
+    let files = repeated_name_designs(&dir);
     // The report's module sections, each without its trailing blank lines.
     let sections = |files: &[String]| -> Vec<String> {
         let out = cli().arg("report").args(files).output().expect("runs");
