@@ -21,9 +21,20 @@
 # seconds, line). Then, for each end-to-end metric of
 # BENCHMARK.json, the script prints the per-pair values, each side's
 # median and quartiles (linear interpolation), the pairs the change won
-# (ties count for neither) and whether the median gain exceeds the
-# parent's quartile spread; last, each side's attempted and failed
-# operations and its median run time.
+# (ties count for neither), whether the median gain exceeds the
+# parent's quartile spread, and one no-regression verdict against the
+# metric's bound, the first that holds of:
+#
+#   worse beyond bound (X % against Y %)   the change median is worse
+#                                          than the parent median by
+#                                          more than the bound
+#   every change run better than every parent run
+#   unresolved (parent quartile spread Z % of its median > Y %)
+#   within bound
+#
+# Then one line names every metric that is worse or unresolved, or says
+# none is; last, each side's attempted and failed operations and its
+# median run time. The verdicts do not change the exit status.
 #
 # Exits non-zero if a run times out, fails, prints no result line or
 # reports "correct":false. On exit the parent's tree is removed and
@@ -44,12 +55,14 @@ fi
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 cd "$root"
 seconds=$(sed -n 's/^ *"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
-# "name better" for each end-to-end metric, in BENCHMARK.json's order.
+# "name better bound" for each end-to-end metric, in BENCHMARK.json's
+# order.
 metrics=$(awk '
     /"end_to_end"/ { on = 1 }
     /"per_layer"/ { on = 0 }
     on && /"name"/ { gsub(/[",]/, ""); name = $2 }
-    on && /"better"/ { gsub(/[",]/, ""); print name, $2 }
+    on && /"better"/ { gsub(/[",]/, ""); better = $2 }
+    on && /"bound"/ { gsub(/[",]/, ""); print name, better, $2 }
 ' BENCHMARK.json)
 if [[ -z $seconds || -z $metrics ]]; then
     echo "bench_pairs: BENCHMARK.json has no run_seconds or end_to_end metrics" >&2
@@ -170,9 +183,11 @@ awk -F'\t' -v metrics="$metrics" '
     END {
         n = seen["parent"] < seen["change"] ? seen["parent"] : seen["change"]
         m = split(metrics, spec, /[ \n]/)
-        for (i = 1; i < m; i += 2) {
+        flagged = ""
+        for (i = 1; i + 2 <= m; i += 3) {
             name = spec[i]
             higher = spec[i + 1] == "higher"
+            bound = 100 * spec[i + 2]
             wins = 0
             pairs = ""
             for (k = 1; k <= n; k++) {
@@ -180,6 +195,10 @@ awk -F'\t' -v metrics="$metrics" '
                 c[k] = value(line["change", k], name)
                 if ((higher && c[k] > p[k]) || (!higher && c[k] < p[k])) wins++
                 pairs = pairs sprintf(" %s:(%.6g, %.6g)", seed["parent", k], p[k], c[k])
+                if (k == 1 || p[k] < pmin) pmin = p[k]
+                if (k == 1 || p[k] > pmax) pmax = p[k]
+                if (k == 1 || c[k] < cmin) cmin = c[k]
+                if (k == 1 || c[k] > cmax) cmax = c[k]
             }
             pm = quantile(p, n, 0.5); pq1 = quantile(p, n, 0.25); pq3 = quantile(p, n, 0.75)
             cm = quantile(c, n, 0.5); cq1 = quantile(c, n, 0.25); cq3 = quantile(c, n, 0.75)
@@ -192,6 +211,26 @@ awk -F'\t' -v metrics="$metrics" '
             printf "  change won %d/%d pairs; change median %+.1f%% against the parent median; gain %.6g against the parent quartile spread %.6g: %s\n", \
                 wins, n, pm != 0 ? 100 * (cm - pm) / pm : 0, gain, spread, \
                 (gain > spread ? "exceeds it" : "does not exceed it")
+            worse = pm != 0 ? -100 * gain / pm : 0
+            spread_pct = pm != 0 ? 100 * spread / pm : 0
+            if (worse > bound) {
+                verdict = sprintf("worse beyond bound (%.1f %% against %g %%)", worse, bound)
+                flagged = flagged sprintf("%s%s worse beyond its bound", flagged == "" ? "" : ", ", name)
+            } else if ((higher && cmin > pmax) || (!higher && cmax < pmin)) {
+                verdict = "every change run better than every parent run"
+            } else if (spread_pct > bound) {
+                verdict = sprintf("unresolved (parent quartile spread %.1f %% of its median > %g %%)", \
+                    spread_pct, bound)
+                flagged = flagged sprintf("%s%s unresolved", flagged == "" ? "" : ", ", name)
+            } else {
+                verdict = "within bound"
+            }
+            printf "  verdict: %s\n", verdict
+        }
+        if (flagged == "") {
+            print "no-regression verdict: no metric is worse beyond its bound or unresolved"
+        } else {
+            print "no-regression verdict: " flagged
         }
         printf "operations: parent %d attempted, %d failed; change %d attempted, %d failed\n", \
             attempted["parent"], failed["parent"], attempted["change"], failed["change"]
