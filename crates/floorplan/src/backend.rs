@@ -27,9 +27,10 @@
 use std::cmp::Reverse;
 
 use maestro_place::postfix::{Cut, Elem, PolishExpr};
+use maestro_place::EvalMode;
 
 use crate::connectivity::ChipNetlist;
-use crate::plan::{eval_slicing, floorplan_seeded, EvalMode, Floorplan, PlanParams};
+use crate::plan::{eval_slicing, floorplan_seeded, Floorplan, PlanParams};
 use crate::Block;
 
 /// The result of one backend run: the plan plus whatever the backend
@@ -115,12 +116,13 @@ impl FloorplanBackend for Annealing {
                 PolishExpr::initial(blocks.len())
             }
         };
-        let (plan, counters) = floorplan_seeded(blocks, &self.params, EvalMode::Delta, seed);
+        let (plan, (evals_full, evals_delta)) =
+            floorplan_seeded(blocks, &self.params, EvalMode::Delta, seed);
         BackendRun {
             plan,
             counters: vec![
-                ("anneal.evals_full".to_owned(), counters.evals_full),
-                ("anneal.evals_delta".to_owned(), counters.evals_delta),
+                ("anneal.evals_full".to_owned(), evals_full),
+                ("anneal.evals_delta".to_owned(), evals_delta),
                 ("anneal.replicas".to_owned(), self.params.replicas as u64),
                 ("anneal.warm_start".to_owned(), u64::from(self.warm_start)),
             ],

@@ -8,7 +8,7 @@
 //! half-perimeter wirelength of those nets over block centers.
 
 use maestro_geom::{Lambda, Point, Rect};
-use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState};
+use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState, EvalMode, Walk};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -121,6 +121,10 @@ impl ConnectedPlanParams {
 /// delegated to the area-driven [`floorplan`] on the permuted order, and
 /// this outer anneal reorders blocks so connected ones land adjacent —
 /// a two-level scheme that keeps the inner Stockmeyer machinery intact.
+///
+/// Every evaluation runs a complete inner floorplan, so the state keeps
+/// no cache: it anneals in the delta mode, where each move re-plans once
+/// (counted as a delta evaluation) and a revert costs nothing.
 #[derive(Clone)]
 struct OrderState<'a> {
     blocks: &'a [Block],
@@ -128,87 +132,56 @@ struct OrderState<'a> {
     inner: &'a dyn FloorplanBackend,
     wire_weight: f64,
     order: Vec<u32>,
-    cached_cost: f64,
-    cached_plan: Floorplan,
-    undo: Option<UndoSwap>,
-    evals_full: u64,
+    /// The positions the last move swapped.
+    undo: Option<(usize, usize)>,
 }
 
-#[derive(Clone)]
-struct UndoSwap {
-    i: usize,
-    j: usize,
-    prev_cost: f64,
-    prev_plan: Floorplan,
+/// The blocks in `order`.
+fn permuted(blocks: &[Block], order: &[u32]) -> Vec<Block> {
+    order.iter().map(|&i| blocks[i as usize].clone()).collect()
 }
 
-impl OrderState<'_> {
-    fn plan_for(&self, order: &[u32]) -> Floorplan {
-        let permuted: Vec<Block> = order
-            .iter()
-            .map(|&i| self.blocks[i as usize].clone())
-            .collect();
-        self.inner.plan(&permuted, None).plan
+/// `netlist` over the blocks permuted by `order`: block `i` of the
+/// original list sits at position `pos[i]` in the permuted list.
+fn remapped(netlist: &ChipNetlist, order: &[u32]) -> ChipNetlist {
+    let mut pos = vec![0u32; order.len()];
+    for (p, &i) in order.iter().enumerate() {
+        pos[i as usize] = p as u32;
     }
-
-    fn cost_of(&self, plan: &Floorplan, order: &[u32]) -> f64 {
-        // Remap the netlist through the permutation: block `i` of the
-        // original list sits at position `pos[i]` in the plan.
-        let mut pos = vec![0u32; order.len()];
-        for (p, &i) in order.iter().enumerate() {
-            pos[i as usize] = p as u32;
-        }
-        let mut remapped = ChipNetlist::new();
-        for net in self.netlist.nets() {
-            remapped.add_net(net.iter().map(|&b| pos[b as usize]));
-        }
-        plan.area().as_f64() + self.wire_weight * remapped.wirelength(plan).as_f64()
+    let mut remapped = ChipNetlist::new();
+    for net in netlist.nets() {
+        remapped.add_net(net.iter().map(|&b| pos[b as usize]));
     }
-
-    fn refresh(&mut self) {
-        // Every evaluation here is inherently "full": it runs a complete
-        // inner floorplan. Reverts restore the cached plan snapshot, so
-        // they cost nothing.
-        self.evals_full += 1;
-        self.cached_plan = self.plan_for(&self.order);
-        self.cached_cost = self.cost_of(&self.cached_plan, &self.order);
-    }
+    remapped
 }
 
 impl AnnealState for OrderState<'_> {
-    fn cost(&self) -> f64 {
-        self.cached_cost
-    }
+    type Touched = ();
 
-    fn propose_and_apply(&mut self, rng: &mut StdRng) -> f64 {
+    fn apply(&mut self, rng: &mut StdRng) -> Option<()> {
         let n = self.order.len();
         let i = rng.gen_range(0..n);
         let mut j = rng.gen_range(0..n);
         while j == i && n > 1 {
             j = rng.gen_range(0..n);
         }
-        let prev_cost = self.cached_cost;
-        let prev_plan = self.cached_plan.clone();
         self.order.swap(i, j);
-        self.undo = Some(UndoSwap {
-            i,
-            j,
-            prev_cost,
-            prev_plan,
-        });
-        self.refresh();
-        self.cached_cost
+        self.undo = Some((i, j));
+        Some(())
     }
 
-    fn revert(&mut self) {
-        let undo = self.undo.take().expect("revert without move");
-        self.order.swap(undo.i, undo.j);
-        self.cached_cost = undo.prev_cost;
-        self.cached_plan = undo.prev_plan;
+    fn undo(&mut self) {
+        let (i, j) = self.undo.take().expect("revert without move");
+        self.order.swap(i, j);
     }
 
-    fn eval_counts(&self) -> (u64, u64) {
-        (self.evals_full, 0)
+    fn full_cost(&self) -> f64 {
+        let plan = self
+            .inner
+            .plan(&permuted(self.blocks, &self.order), None)
+            .plan;
+        let wirelength = remapped(self.netlist, &self.order).wirelength(&plan);
+        plan.area().as_f64() + self.wire_weight * wirelength.as_f64()
     }
 }
 
@@ -262,18 +235,15 @@ pub fn floorplan_connected_with(
             );
         }
     }
-    let mut state = OrderState {
+    let state = OrderState {
         blocks,
         netlist,
         inner,
         wire_weight: params.wire_weight,
         order: (0..blocks.len() as u32).collect(),
-        cached_cost: 0.0,
-        cached_plan: inner.plan(blocks, None).plan,
         undo: None,
-        evals_full: 0,
     };
-    state.refresh();
+    let mut walk = Walk::new(state, EvalMode::Delta);
     if blocks.len() > 1 {
         // The outer anneal re-floorplans per move; keep it short.
         let schedule = AnnealSchedule {
@@ -282,7 +252,7 @@ pub fn floorplan_connected_with(
             ..AnnealSchedule::quick()
         };
         anneal_replicas(
-            &mut state,
+            &mut walk,
             None,
             &schedule,
             params.base.seed,
@@ -292,21 +262,9 @@ pub fn floorplan_connected_with(
         );
     }
     // Final full-quality floorplan on the chosen order.
-    let permuted: Vec<Block> = state
-        .order
-        .iter()
-        .map(|&i| blocks[i as usize].clone())
-        .collect();
-    let plan = base.plan(&permuted, None).plan;
-    let mut pos = vec![0u32; state.order.len()];
-    for (p, &i) in state.order.iter().enumerate() {
-        pos[i as usize] = p as u32;
-    }
-    let mut remapped = ChipNetlist::new();
-    for net in netlist.nets() {
-        remapped.add_net(net.iter().map(|&b| pos[b as usize]));
-    }
-    let wl = remapped.wirelength(&plan);
+    let order = &walk.state().order;
+    let plan = base.plan(&permuted(blocks, order), None).plan;
+    let wl = remapped(netlist, order).wirelength(&plan);
     (plan, wl)
 }
 

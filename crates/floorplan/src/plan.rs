@@ -3,7 +3,7 @@
 
 use maestro_geom::{Lambda, LambdaArea, Point, Rect, ShapeCurve, ShapePoint};
 use maestro_place::postfix::{Cut, Elem, IncrementalPostfix, Move, PolishExpr};
-use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState};
+use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState, EvalMode, Walk};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -151,17 +151,6 @@ impl Floorplan {
     }
 }
 
-/// How a [`PlanState`] recomputes its cost after a move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EvalMode {
-    /// Recombine every shape curve on each move and each revert — the
-    /// original implementation, kept as the differential reference.
-    Full,
-    /// Recombine only the covering subtree's curves; reverts restore
-    /// journaled state.
-    Delta,
-}
-
 /// The Stockmeyer combine of two child shape curves under a cut.
 fn plan_comb(cut: Cut, l: &ShapeCurve, r: &ShapeCurve) -> ShapeCurve {
     match cut {
@@ -179,18 +168,27 @@ struct PlanState<'b> {
     blocks: &'b [Block],
     expr: PolishExpr,
     aspect_limit: Option<f64>,
-    mode: EvalMode,
-    cached_cost: f64,
-    /// Delta-mode incremental curve evaluation.
+    /// Incremental curve evaluation of `expr`.
     post: IncrementalPostfix<ShapeCurve>,
-    /// Pre-move cost snapshot for O(1) restore on revert.
-    snap_cost: f64,
     undo: Option<Move>,
-    evals_full: u64,
-    evals_delta: u64,
 }
 
-impl PlanState<'_> {
+impl<'b> PlanState<'b> {
+    fn new(blocks: &'b [Block], expr: PolishExpr, aspect_limit: Option<f64>) -> PlanState<'b> {
+        let post = IncrementalPostfix::build(
+            expr.elems(),
+            |b| blocks[b as usize].curve().clone(),
+            plan_comb,
+        );
+        PlanState {
+            blocks,
+            expr,
+            aspect_limit,
+            post,
+            undo: None,
+        }
+    }
+
     fn root_curve(&self) -> ShapeCurve {
         let mut stack: Vec<ShapeCurve> = Vec::new();
         for e in self.expr.elems() {
@@ -212,49 +210,13 @@ impl PlanState<'_> {
             self.aspect_limit,
         )
     }
-
-    fn refresh(&mut self) {
-        self.evals_full += 1;
-        match self.mode {
-            EvalMode::Full => {
-                let curve = self.root_curve();
-                self.cached_cost =
-                    point_cost(best_point(&curve, self.aspect_limit), self.aspect_limit);
-            }
-            EvalMode::Delta => {
-                let blocks = self.blocks;
-                self.post.rebuild(
-                    self.expr.elems(),
-                    |b| blocks[b as usize].curve().clone(),
-                    plan_comb,
-                );
-                self.cached_cost = self.delta_cost();
-            }
-        }
-    }
-
-    /// Delta re-evaluation after the expression changed within element
-    /// positions `lo..=hi`.
-    fn apply_delta(&mut self, lo: usize, hi: usize) {
-        self.evals_delta += 1;
-        let blocks = self.blocks;
-        self.post.update(
-            self.expr.elems(),
-            |b| blocks[b as usize].curve().clone(),
-            plan_comb,
-            lo,
-            hi,
-        );
-        self.cached_cost = self.delta_cost();
-    }
 }
 
 impl AnnealState for PlanState<'_> {
-    fn cost(&self) -> f64 {
-        self.cached_cost
-    }
+    /// The element positions `lo..=hi` a move rewrote.
+    type Touched = (usize, usize);
 
-    fn propose_and_apply(&mut self, rng: &mut StdRng) -> f64 {
+    fn apply(&mut self, rng: &mut StdRng) -> Option<(usize, usize)> {
         // Each move draws its candidate in exactly the candidate range.
         let kind = rng.gen_range(0..3u8);
         let pick = |count: usize| rng.gen_range(0..count);
@@ -264,34 +226,47 @@ impl AnnealState for PlanState<'_> {
             _ => self.expr.swap_operand_operator(pick),
         };
         self.undo = Some(mv);
-        match self.mode {
-            EvalMode::Full => self.refresh(),
-            EvalMode::Delta => {
-                self.snap_cost = self.cached_cost;
-                match mv.span() {
-                    Some((lo, hi)) => self.apply_delta(lo, hi),
-                    // A following revert must be a no-op.
-                    None => self.post.clear_undo(),
-                }
-            }
-        }
-        self.cached_cost
+        mv.span()
     }
 
-    fn revert(&mut self) {
+    fn undo(&mut self) {
         self.expr
             .undo(self.undo.take().expect("revert without move"));
-        match self.mode {
-            EvalMode::Full => self.refresh(),
-            EvalMode::Delta => {
-                self.post.revert();
-                self.cached_cost = self.snap_cost;
-            }
-        }
     }
 
-    fn eval_counts(&self) -> (u64, u64) {
-        (self.evals_full, self.evals_delta)
+    /// Every shape curve recombined from scratch.
+    fn full_cost(&self) -> f64 {
+        point_cost(
+            best_point(&self.root_curve(), self.aspect_limit),
+            self.aspect_limit,
+        )
+    }
+
+    fn rebuild(&mut self) -> f64 {
+        let blocks = self.blocks;
+        self.post.rebuild(
+            self.expr.elems(),
+            |b| blocks[b as usize].curve().clone(),
+            plan_comb,
+        );
+        self.delta_cost()
+    }
+
+    /// Recombines only the covering subtree's curves.
+    fn update(&mut self, (lo, hi): (usize, usize)) -> f64 {
+        let blocks = self.blocks;
+        self.post.update(
+            self.expr.elems(),
+            |b| blocks[b as usize].curve().clone(),
+            plan_comb,
+            lo,
+            hi,
+        );
+        self.delta_cost()
+    }
+
+    fn restore(&mut self) {
+        self.post.revert();
     }
 }
 
@@ -314,15 +289,6 @@ pub fn floorplan(blocks: &[Block], params: &PlanParams) -> Floorplan {
 #[doc(hidden)]
 pub fn floorplan_full_refresh(blocks: &[Block], params: &PlanParams) -> Floorplan {
     floorplan_with(blocks, params, EvalMode::Full)
-}
-
-/// Per-run evaluation tallies a backend reports alongside its plan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PlanCounters {
-    /// Full shape-curve recombinations (including calibration refreshes).
-    pub evals_full: u64,
-    /// Incremental (covering-subtree) recombinations.
-    pub evals_delta: u64,
 }
 
 /// Packs an already-chosen slicing expression: Stockmeyer-combine the
@@ -387,7 +353,8 @@ fn floorplan_with(blocks: &[Block], params: &PlanParams, mode: EvalMode) -> Floo
 
 /// The annealing core behind every entry point: checks `blocks` is not
 /// empty, starts from `seed()` (a valid expression over all of
-/// `blocks`), anneals, and packs the best expression seen. [`floorplan`]
+/// `blocks`), anneals, and packs the best expression seen. Returns the
+/// plan and the walk's `(full, delta)` evaluation tallies. [`floorplan`]
 /// seeds it with [`PolishExpr::initial`]; the warm-started backend seeds
 /// it with the spanning-tree expression instead.
 pub(crate) fn floorplan_seeded(
@@ -395,34 +362,16 @@ pub(crate) fn floorplan_seeded(
     params: &PlanParams,
     mode: EvalMode,
     seed: impl FnOnce() -> PolishExpr,
-) -> (Floorplan, PlanCounters) {
+) -> (Floorplan, (u64, u64)) {
     assert!(!blocks.is_empty(), "cannot floorplan zero blocks");
     let _plan_span = maestro_trace::span("floorplan");
     maestro_trace::counter("floorplan.blocks", blocks.len() as u64);
     let n = blocks.len();
 
-    let expr = seed();
-    let post = IncrementalPostfix::build(
-        expr.elems(),
-        |b| blocks[b as usize].curve().clone(),
-        plan_comb,
-    );
-    let mut state = PlanState {
-        blocks,
-        expr,
-        aspect_limit: params.aspect_limit,
-        mode,
-        cached_cost: 0.0,
-        post,
-        snap_cost: 0.0,
-        undo: None,
-        evals_full: 0,
-        evals_delta: 0,
-    };
-    state.refresh();
+    let mut walk = Walk::new(PlanState::new(blocks, seed(), params.aspect_limit), mode);
     if n > 1 {
         anneal_replicas(
-            &mut state,
+            &mut walk,
             None,
             &params.schedule,
             params.seed,
@@ -431,14 +380,9 @@ pub(crate) fn floorplan_seeded(
             n,
         );
     }
-
-    let counters = PlanCounters {
-        evals_full: state.evals_full,
-        evals_delta: state.evals_delta,
-    };
     (
-        eval_slicing(blocks, state.expr.elems(), params.aspect_limit),
-        counters,
+        eval_slicing(blocks, walk.state().expr.elems(), params.aspect_limit),
+        walk.evals(),
     )
 }
 
@@ -555,6 +499,30 @@ mod tests {
             let delta = floorplan(&blocks, &params);
             let full = floorplan_full_refresh(&blocks, &params);
             assert_eq!(delta, full);
+        }
+    }
+
+    #[test]
+    fn every_move_and_revert_prices_like_the_reference() {
+        // Per move, not only per run: the delta cost after each move and
+        // each revert equals a from-scratch recombination of the same
+        // expression, over soft and hard blocks, free and aspect-limited.
+        for n in [2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 18, 21] {
+            let blocks: Vec<Block> = (0..n)
+                .map(|i| match i % 3 {
+                    2 => Block::hard(
+                        format!("h{i}"),
+                        Lambda::new(20 + 7 * (i % 5)),
+                        Lambda::new(15 + 11 * (i % 4)),
+                    ),
+                    _ => soft(&format!("s{i}"), 900 + 350 * i),
+                })
+                .collect();
+            for aspect_limit in [None, Some(1.5)] {
+                let state = PlanState::new(&blocks, PolishExpr::initial(n as usize), aspect_limit);
+                let step = maestro_place::anneal::first_delta_divergence(state, 3_000, n as u64);
+                assert_eq!(step, None, "{n} blocks, aspect limit {aspect_limit:?}");
+            }
         }
     }
 

@@ -310,14 +310,6 @@ impl DeltaEval {
         }
     }
 
-    /// Drops the undo journals so a following [`DeltaEval::revert`] is a
-    /// no-op — for moves that did not change the expression.
-    pub fn clear_undo(&mut self) {
-        self.post.clear_undo();
-        self.undo_origins.clear();
-        self.undo_placements.clear();
-    }
-
     /// Fully re-evaluates `expr` from scratch (e.g. after wholesale
     /// expression replacement), reusing buffers.
     pub fn rebuild(&mut self, expr: &PolishExpr, tile_sizes: &[(Lambda, Lambda)]) {

@@ -4,7 +4,7 @@
 use maestro_geom::{AspectRatio, Lambda, LambdaArea, Rect};
 use maestro_netlist::{DeviceId, LayoutStyle, Module, NetlistError, StatsCache};
 use maestro_place::postfix::{Move, PolishExpr};
-use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState, HpwlJournal};
+use maestro_place::{anneal_replicas, AnnealSchedule, AnnealState, EvalMode, HpwlJournal, Walk};
 use maestro_tech::ProcessDb;
 use maestro_trace as trace;
 use rand::rngs::StdRng;
@@ -155,42 +155,46 @@ impl FcLayout {
     }
 }
 
-/// How a [`SynthState`] recomputes its cost after a move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvalMode {
-    /// Re-evaluate the whole expression and every net on each move and
-    /// each revert. The original implementation, kept as the reference
-    /// for differential testing.
-    Full,
-    /// Re-evaluate only the covering Polish subtree and the nets
-    /// incident to re-placed tiles; reverts restore journaled state.
-    Delta,
-}
-
 /// The annealing state over Polish expressions.
 #[derive(Clone)]
 struct SynthState<'m> {
     module: &'m Module,
     tiles: Vec<(Lambda, Lambda)>,
     expr: PolishExpr,
-    mode: EvalMode,
-    cached_cost: f64,
-    /// Full-mode evaluation cache (unused, but kept current, in delta
-    /// mode only at rebuild points).
-    cached_eval: Evaluated,
-    /// Delta-mode incremental evaluation.
+    /// Incremental evaluation of `expr`.
     eval: DeltaEval,
     /// Each net's component tiles, in module net order, and their cached
-    /// HPWL (delta mode).
+    /// HPWL.
     hpwl: HpwlJournal,
-    /// Pre-move cost snapshot for O(1) restore on revert.
-    snap_cost: f64,
     undo: Option<Move>,
-    evals_full: u64,
-    evals_delta: u64,
 }
 
-impl SynthState<'_> {
+impl<'m> SynthState<'m> {
+    /// The serpentine expression over `module`'s device tiles. Every
+    /// device's template must resolve in `tech`'s transistor table.
+    fn new(module: &'m Module, tech: &ProcessDb) -> SynthState<'m> {
+        let tiles: Vec<(Lambda, Lambda)> = (0..module.device_count())
+            .map(|i| {
+                let d = module.device(DeviceId::new(i as u32));
+                let t = tech.device(d.template()).expect("resolved above");
+                (t.width(), t.height())
+            })
+            .collect();
+        let expr = PolishExpr::initial(tiles.len());
+        let nets = module
+            .nets()
+            .map(|(_, net)| net.components().iter().map(|d| d.index() as u32).collect())
+            .collect();
+        SynthState {
+            module,
+            hpwl: HpwlJournal::new(tiles.len(), nets),
+            eval: DeltaEval::new(&expr, &tiles),
+            tiles,
+            expr,
+            undo: None,
+        }
+    }
+
     /// Area term of the cost: bounding area scaled by the elongation
     /// penalty. Shared by both evaluation modes so they stay
     /// bit-identical.
@@ -236,44 +240,12 @@ impl SynthState<'_> {
         self.box_cost(self.eval.width(), self.eval.height(), self.eval.area())
             + WIRE_WEIGHT * self.hpwl.total()
     }
-
-    /// Full re-evaluation, in whichever representation the mode uses.
-    fn refresh(&mut self) {
-        self.evals_full += 1;
-        match self.mode {
-            EvalMode::Full => {
-                self.cached_eval = evaluate(&self.expr, &self.tiles);
-                self.cached_cost = self.evaluate_cost(&self.cached_eval);
-            }
-            EvalMode::Delta => {
-                self.eval.rebuild(&self.expr, &self.tiles);
-                self.hpwl.rebuild(tile_centre(self.eval.placements()));
-                self.cached_cost = self.delta_cost();
-            }
-        }
-    }
-
-    /// Delta re-evaluation after the expression changed within element
-    /// positions `lo..=hi`: updates the covering subtree's dimensions
-    /// and origins, then recomputes only the nets incident to tiles
-    /// whose placement actually moved.
-    fn apply_delta(&mut self, lo: usize, hi: usize) {
-        self.evals_delta += 1;
-        self.eval.update(&self.expr, &self.tiles, lo, hi);
-        for &t in self.eval.changed_tiles() {
-            self.hpwl.mark(t);
-        }
-        self.hpwl.settle(tile_centre(self.eval.placements()));
-        self.cached_cost = self.delta_cost();
-    }
 }
 
 impl AnnealState for SynthState<'_> {
-    fn cost(&self) -> f64 {
-        self.cached_cost
-    }
+    type Touched = Move;
 
-    fn propose_and_apply(&mut self, rng: &mut StdRng) -> f64 {
+    fn apply(&mut self, rng: &mut StdRng) -> Option<Move> {
         // Every move draws one index in `0..n`; the expression reduces it
         // modulo the move's candidate count.
         let n = self.expr.operand_count();
@@ -287,47 +259,50 @@ impl AnnealState for SynthState<'_> {
             _ => self.expr.flip_rotation(nth),
         };
         self.undo = Some(mv);
-        match self.mode {
-            EvalMode::Full => self.refresh(),
-            EvalMode::Delta => {
-                // Element-position span touched by the move; a rotation
-                // leaves its operand in place, so its position is still
-                // current.
-                let span = match mv {
-                    Move::Rotate(tile) => {
-                        let p = self.eval.tile_pos(tile);
-                        Some((p, p))
-                    }
-                    mv => mv.span(),
-                };
-                self.snap_cost = self.cached_cost;
-                self.hpwl.begin();
-                match span {
-                    Some((lo, hi)) => self.apply_delta(lo, hi),
-                    // Rejected move: nothing changed, but the engine may
-                    // still call `revert`, which must then be a no-op.
-                    None => self.eval.clear_undo(),
-                }
-            }
-        }
-        self.cached_cost
+        (mv != Move::Nothing).then_some(mv)
     }
 
-    fn revert(&mut self) {
+    fn undo(&mut self) {
         self.expr
             .undo(self.undo.take().expect("revert without move"));
-        match self.mode {
-            EvalMode::Full => self.refresh(),
-            EvalMode::Delta => {
-                self.eval.revert();
-                self.hpwl.revert();
-                self.cached_cost = self.snap_cost;
-            }
-        }
     }
 
-    fn eval_counts(&self) -> (u64, u64) {
-        (self.evals_full, self.evals_delta)
+    /// The whole expression and every net from scratch.
+    fn full_cost(&self) -> f64 {
+        self.evaluate_cost(&evaluate(&self.expr, &self.tiles))
+    }
+
+    fn rebuild(&mut self) -> f64 {
+        self.eval.rebuild(&self.expr, &self.tiles);
+        self.hpwl.rebuild(tile_centre(self.eval.placements()));
+        self.delta_cost()
+    }
+
+    /// Updates the covering subtree's dimensions and origins, then
+    /// recomputes only the nets incident to tiles whose placement
+    /// actually moved.
+    fn update(&mut self, mv: Move) -> f64 {
+        // Element-position span touched by the move; a rotation leaves its
+        // operand in place, so its position is still current.
+        let (lo, hi) = match mv {
+            Move::Rotate(tile) => {
+                let p = self.eval.tile_pos(tile);
+                (p, p)
+            }
+            mv => mv.span().expect("only a rotation rewrites no element"),
+        };
+        self.hpwl.begin();
+        self.eval.update(&self.expr, &self.tiles, lo, hi);
+        for &t in self.eval.changed_tiles() {
+            self.hpwl.mark(t);
+        }
+        self.hpwl.settle(tile_centre(self.eval.placements()));
+        self.delta_cost()
+    }
+
+    fn restore(&mut self) {
+        self.eval.revert();
+        self.hpwl.revert();
     }
 }
 
@@ -421,46 +396,16 @@ fn synthesize_with_seed(
     // Served from the shared resolve-once cache: synthesis after an
     // estimate of the same module re-uses the estimate's analysis.
     let stats = StatsCache::shared().resolve(module, tech, LayoutStyle::FullCustom)?;
-    let tiles: Vec<(Lambda, Lambda)> = (0..module.device_count())
-        .map(|i| {
-            let d = module.device(DeviceId::new(i as u32));
-            let t = tech.device(d.template()).expect("resolved above");
-            (t.width(), t.height())
-        })
-        .collect();
-
-    let expr = PolishExpr::initial(tiles.len());
-    let nets = module
-        .nets()
-        .map(|(_, net)| net.components().iter().map(|d| d.index() as u32).collect())
-        .collect();
-    let initial_eval = evaluate(&expr, &tiles);
-    let delta = DeltaEval::new(&expr, &tiles);
-    let mut state = SynthState {
-        module,
-        hpwl: HpwlJournal::new(tiles.len(), nets),
-        tiles,
-        expr,
-        mode,
-        cached_cost: 0.0,
-        cached_eval: initial_eval,
-        eval: delta,
-        snap_cost: 0.0,
-        undo: None,
-        evals_full: 0,
-        evals_delta: 0,
-    };
-    state.refresh();
-    let work_size = state.tiles.len();
+    let mut walk = Walk::new(SynthState::new(module, tech), mode);
+    let work_size = walk.state().tiles.len();
     // An accepted seed becomes one extra annealing walk; the cold walks
     // below run exactly as an unseeded synthesis would, so seeding can
     // only improve the reduced cost, which never exceeds the start's.
     let warm_state = warm.and_then(|seed| {
-        if seed.expr.operand_count() == state.tiles.len() && seed.expr.is_valid() {
+        if seed.expr.operand_count() == work_size && seed.expr.is_valid() {
             trace::counter("fullcustom.warm_start", 1);
-            let mut w = state.clone();
+            let mut w = walk.state().clone();
             w.expr = seed.expr.clone();
-            w.refresh();
             Some(w)
         } else {
             trace::counter("fullcustom.warm_rejected", 1);
@@ -468,7 +413,7 @@ fn synthesize_with_seed(
         }
     });
     anneal_replicas(
-        &mut state,
+        &mut walk,
         warm_state,
         &params.schedule,
         params.seed,
@@ -477,10 +422,10 @@ fn synthesize_with_seed(
         work_size,
     );
 
-    let eval = match state.mode {
-        EvalMode::Full => state.cached_eval.clone(),
-        EvalMode::Delta => state.eval.to_evaluated(),
-    };
+    // The reference evaluation of the winning expression, which the
+    // delta path's caches equal bit for bit.
+    let state = walk.state();
+    let eval = evaluate(&state.expr, &state.tiles);
     let wire_area = wiring::wiring_area(
         module,
         &eval,
@@ -489,7 +434,7 @@ fn synthesize_with_seed(
     );
     let winning_seed = SynthSeed {
         expr: state.expr.clone(),
-        cost: state.cached_cost,
+        cost: walk.cost(),
     };
     Ok((
         FcLayout {
@@ -644,6 +589,25 @@ mod tests {
             let delta = synthesize(&m, &tech, &SynthesisParams::quick()).unwrap();
             let full = synthesize_full_refresh(&m, &tech, &SynthesisParams::quick()).unwrap();
             assert_eq!(delta, full, "{} diverged", m.name());
+        }
+    }
+
+    #[test]
+    fn every_move_and_revert_prices_like_the_reference() {
+        // Per move, not only per run: the delta cost after each move and
+        // each revert equals a from-scratch evaluation of the same
+        // expression. One- and two-tile modules make most moves no-ops.
+        let tech = builtin::nmos25();
+        let modules = [
+            library_circuits::pass_chain(1),
+            library_circuits::pass_chain(2),
+        ]
+        .into_iter()
+        .chain((1..=20).map(|gates| generate::random_nmos_logic(gates as u64, gates)));
+        for m in modules {
+            let state = SynthState::new(&m, &tech);
+            let step = maestro_place::anneal::first_delta_divergence(state, 3_000, 7);
+            assert_eq!(step, None, "{}", m.name());
         }
     }
 

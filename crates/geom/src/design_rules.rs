@@ -11,7 +11,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Lambda, LambdaArea};
+use crate::Lambda;
 
 /// Mask layers distinguished by the rule set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -196,12 +196,6 @@ impl DesignRules {
         let along = self.contact_footprint() * 2 + self.diffusion_gate_extension * 2 + l;
         (along, across)
     }
-
-    /// Area of the minimum transistor footprint.
-    pub fn transistor_area(&self, w: Lambda, l: Lambda) -> LambdaArea {
-        let (a, b) = self.transistor_footprint(w, l);
-        a * b
-    }
 }
 
 #[cfg(test)]
@@ -241,10 +235,6 @@ mod tests {
         let (along, across) = r.transistor_footprint(Lambda::new(2), Lambda::new(2));
         assert_eq!(along, Lambda::new(14));
         assert_eq!(across, Lambda::new(8));
-        assert_eq!(
-            r.transistor_area(Lambda::new(2), Lambda::new(2)),
-            LambdaArea::new(14 * 8)
-        );
     }
 
     #[test]

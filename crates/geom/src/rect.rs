@@ -141,12 +141,6 @@ impl Rect {
         self.x_span().contains(p.x) && self.y_span().contains(p.y)
     }
 
-    /// `true` if the closed rectangles share at least a point.
-    #[inline]
-    pub fn intersects(self, other: Rect) -> bool {
-        self.x_span().overlaps(other.x_span()) && self.y_span().overlaps(other.y_span())
-    }
-
     /// `true` if the open interiors overlap (abutment does not count) —
     /// the design-rule-violation test for placed cells.
     #[inline]
@@ -183,19 +177,6 @@ impl Rect {
             origin: self.origin.translated(dx, dy),
             ..self
         }
-    }
-
-    /// The rectangle grown by `margin` on every side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a negative margin would invert the rectangle.
-    pub fn inflated(self, margin: Lambda) -> Rect {
-        Rect::new(
-            self.origin.translated(-margin, -margin),
-            self.width + margin * 2,
-            self.height + margin * 2,
-        )
     }
 
     /// Bounding box of a set of points; `None` for an empty set.
@@ -257,7 +238,6 @@ mod tests {
         assert!(r.contains(pt(0, 0)));
         assert!(r.contains(pt(10, 10)));
         assert!(!r.contains(pt(11, 5)));
-        assert!(r.intersects(rect(10, 10, 5, 5))); // corner touch
         assert!(!r.overlaps_strictly(rect(10, 0, 5, 5))); // edge abutment
         assert!(r.overlaps_strictly(rect(9, 9, 5, 5)));
     }
@@ -276,7 +256,6 @@ mod tests {
             rect(1, 1, 2, 2).translated(Lambda::new(3), Lambda::new(-1)),
             rect(4, 0, 2, 2)
         );
-        assert_eq!(rect(5, 5, 2, 2).inflated(Lambda::new(2)), rect(3, 3, 6, 6));
     }
 
     #[test]

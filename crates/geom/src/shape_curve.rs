@@ -196,16 +196,6 @@ impl ShapeCurve {
             .expect("shape curve is never empty")
     }
 
-    /// The minimal height at which the module fits within `max_width`,
-    /// together with the realizing point, or `None` if nothing fits.
-    pub fn min_height_within(&self, max_width: Lambda) -> Option<ShapePoint> {
-        self.points
-            .iter()
-            .copied()
-            .filter(|p| p.width <= max_width)
-            .min_by_key(|p| p.height)
-    }
-
     /// The curve of the same module rotated 90°.
     pub fn rotated(&self) -> ShapeCurve {
         ShapeCurve::from_points(self.points.iter().map(|p| p.rotated()))
@@ -431,14 +421,6 @@ mod tests {
                 "ceil rounding may only grow area slightly: {p} -> {a}"
             );
         }
-    }
-
-    #[test]
-    fn min_height_within_budget() {
-        let c = ShapeCurve::from_points([sp(4, 9), sp(6, 6), sp(9, 4)]);
-        assert_eq!(c.min_height_within(Lambda::new(7)), Some(sp(6, 6)));
-        assert_eq!(c.min_height_within(Lambda::new(100)), Some(sp(9, 4)));
-        assert_eq!(c.min_height_within(Lambda::new(3)), None);
     }
 
     #[test]

@@ -112,18 +112,6 @@ impl SvgDocument {
         self.body.push('\n');
     }
 
-    /// Draws a vertical wire segment at λ column `x` spanning `y1..=y2`.
-    pub fn vline(&mut self, x: Lambda, y1: Lambda, y2: Lambda, stroke: &str) {
-        let xx = self.x(x);
-        let _ = write!(
-            self.body,
-            r#"<line x1="{xx:.1}" y1="{:.1}" x2="{xx:.1}" y2="{:.1}" stroke="{stroke}" stroke-width="1"/>"#,
-            (self.height - y1.get()) as f64 * self.scale,
-            (self.height - y2.get()) as f64 * self.scale,
-        );
-        self.body.push('\n');
-    }
-
     /// Number of elements emitted so far.
     pub fn element_count(&self) -> usize {
         self.body.lines().count()
@@ -163,12 +151,11 @@ mod tests {
             Some("m<1>"),
         );
         doc.hline(Lambda::new(0), Lambda::new(50), Lambda::new(30), "#f00");
-        doc.vline(Lambda::new(20), Lambda::new(0), Lambda::new(30), "#0f0");
         let text = doc.finish();
         assert!(text.starts_with("<svg"));
         assert!(text.ends_with("</svg>\n"));
         assert_eq!(text.matches("<rect").count(), 2); // background + 1
-        assert_eq!(text.matches("<line").count(), 2);
+        assert_eq!(text.matches("<line").count(), 1);
         assert!(text.contains("m&lt;1&gt;"), "labels are escaped");
     }
 

@@ -100,12 +100,6 @@ pub struct NetlistDiff {
 }
 
 impl NetlistDiff {
-    /// True when the next revision is fingerprint-identical to the
-    /// previous one.
-    pub fn is_clean(&self) -> bool {
-        self.modified.is_empty() && self.added.is_empty() && self.removed.is_empty()
-    }
-
     /// One-line human summary, e.g. `"95 unchanged, 1 modified, 0 added,
     /// 0 removed"`.
     pub fn summary(&self) -> String {
@@ -160,7 +154,7 @@ mod tests {
         let a = RevisionManifest::from_modules(&table1());
         let b = RevisionManifest::from_modules(&table1());
         let d = diff(&a, &b);
-        assert!(d.is_clean());
+        assert!(d.modified.is_empty() && d.added.is_empty() && d.removed.is_empty());
         assert_eq!(d.unchanged.len(), a.len());
         // Order is the next revision's input order.
         let names: Vec<&str> = b.names().collect();

@@ -386,51 +386,6 @@ pub fn alu_slice() -> Module {
     b.finish()
 }
 
-/// A logarithmic barrel shifter: `2^stages` data bits shifted by a
-/// `stages`-bit amount, one MUX2 per bit per stage.
-///
-/// # Panics
-///
-/// Panics if `stages` is 0 or greater than 5.
-pub fn barrel_shifter(stages: usize) -> Module {
-    assert!(
-        (1..=5).contains(&stages),
-        "barrel shifter supports 1..=5 stages"
-    );
-    let width = 1usize << stages;
-    let mut b = ModuleBuilder::new(format!("barrel_{width}"));
-    let mut layer: Vec<NetId> = (0..width)
-        .map(|i| b.port(format!("d{i}"), PortDirection::Input))
-        .collect();
-    let shifts: Vec<NetId> = (0..stages)
-        .map(|i| b.port(format!("sh{i}"), PortDirection::Input))
-        .collect();
-    let outputs: Vec<NetId> = (0..width)
-        .map(|i| b.port(format!("q{i}"), PortDirection::Output))
-        .collect();
-    for (stage, &sh) in shifts.iter().enumerate() {
-        let amount = 1usize << stage;
-        let last = stage + 1 == stages;
-        let mut next = Vec::with_capacity(width);
-        for bit in 0..width {
-            let o = if last {
-                outputs[bit]
-            } else {
-                b.net(format!("s{stage}_{bit}"))
-            };
-            let rotated = layer[(bit + amount) % width];
-            b.device(
-                format!("m{stage}_{bit}"),
-                "MUX2",
-                [("A", layer[bit]), ("B", rotated), ("S", sh), ("Y", o)],
-            );
-            next.push(o);
-        }
-        layer = next;
-    }
-    b.finish()
-}
-
 /// A Fibonacci LFSR of `bits` stages with taps at the two high stages.
 ///
 /// # Panics
@@ -453,73 +408,6 @@ pub fn lfsr(bits: usize) -> Module {
     for (i, &qi) in q.iter().enumerate() {
         b.device(format!("ff{i}"), "DFF", [("D", d), ("CK", clk), ("Q", qi)]);
         d = qi;
-    }
-    b.finish()
-}
-
-/// A `bits`-bit carry-lookahead adder (generate/propagate per bit, carry
-/// tree flattened to two-level logic over AND2/OR2).
-///
-/// # Panics
-///
-/// Panics if `bits` is 0 or greater than 8.
-#[allow(clippy::needless_range_loop)] // s[i]/g[i]/p[i] are paired with a running carry
-pub fn carry_lookahead_adder(bits: usize) -> Module {
-    assert!((1..=8).contains(&bits), "CLA supports 1..=8 bits");
-    let mut b = ModuleBuilder::new(format!("cla_{bits}"));
-    let a: Vec<NetId> = (0..bits)
-        .map(|i| b.port(format!("a{i}"), PortDirection::Input))
-        .collect();
-    let x: Vec<NetId> = (0..bits)
-        .map(|i| b.port(format!("b{i}"), PortDirection::Input))
-        .collect();
-    let cin = b.port("cin", PortDirection::Input);
-    let s: Vec<NetId> = (0..bits)
-        .map(|i| b.port(format!("s{i}"), PortDirection::Output))
-        .collect();
-    let cout = b.port("cout", PortDirection::Output);
-
-    // Per-bit generate and propagate.
-    let mut g = Vec::new();
-    let mut p = Vec::new();
-    for i in 0..bits {
-        let gi = b.net(format!("g{i}"));
-        b.device(
-            format!("gg{i}"),
-            "AND2",
-            [("A", a[i]), ("B", x[i]), ("Y", gi)],
-        );
-        let pi = b.net(format!("p{i}"));
-        b.device(
-            format!("gp{i}"),
-            "XOR2",
-            [("A", a[i]), ("B", x[i]), ("Y", pi)],
-        );
-        g.push(gi);
-        p.push(pi);
-    }
-    // Ripple of lookahead terms: c_{i+1} = g_i + p_i·c_i, built with one
-    // AND2 + OR2 per bit (a two-level CLA block per bit).
-    let mut c = cin;
-    for i in 0..bits {
-        b.device(
-            format!("gs{i}"),
-            "XOR2",
-            [("A", p[i]), ("B", c), ("Y", s[i])],
-        );
-        let t = b.net(format!("t{i}"));
-        b.device(format!("ga{i}"), "AND2", [("A", p[i]), ("B", c), ("Y", t)]);
-        let next = if i + 1 == bits {
-            cout
-        } else {
-            b.net(format!("c{}", i + 1))
-        };
-        b.device(
-            format!("go{i}"),
-            "OR2",
-            [("A", g[i]), ("B", t), ("Y", next)],
-        );
-        c = next;
     }
     b.finish()
 }
@@ -942,14 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn barrel_shifter_structure() {
-        // 3 stages, 8 bits: 24 MUX2s.
-        let m = barrel_shifter(3);
-        assert_eq!(m.device_count(), 24);
-        assert_eq!(m.port_count(), 8 + 3 + 8);
-    }
-
-    #[test]
     fn lfsr_structure() {
         let m = lfsr(5);
         // 5 DFFs + 1 XOR.
@@ -959,23 +839,9 @@ mod tests {
     }
 
     #[test]
-    fn cla_matches_gate_count_formula() {
-        // Per bit: AND2 + XOR2 (g/p) + XOR2 (sum) + AND2 + OR2 = 5 gates.
-        for bits in [1usize, 4, 8] {
-            assert_eq!(carry_lookahead_adder(bits).device_count(), 5 * bits);
-        }
-    }
-
-    #[test]
     fn new_generators_resolve_and_expand() {
         let tech = builtin::nmos25();
-        for m in [
-            parity_tree(6),
-            alu_slice(),
-            barrel_shifter(2),
-            lfsr(4),
-            carry_lookahead_adder(3),
-        ] {
+        for m in [parity_tree(6), alu_slice(), lfsr(4)] {
             NetlistStats::resolve(&m, &tech, LayoutStyle::StandardCell)
                 .unwrap_or_else(|e| panic!("{}: {e}", m.name()));
             let xt = crate::expand::to_nmos_transistors(&m)

@@ -135,11 +135,6 @@ impl NetSizeHistogram {
     pub fn max_components(&self) -> usize {
         self.bins.keys().next_back().copied().unwrap_or(0)
     }
-
-    /// Number of nets with exactly `components` devices.
-    pub fn count_of(&self, components: usize) -> usize {
-        self.bins.get(&components).copied().unwrap_or(0)
-    }
 }
 
 /// Per-net wiring inputs for the full-custom exact-area variant of Eq. 13.
@@ -417,8 +412,6 @@ mod tests {
         h.add(5);
         assert_eq!(h.net_count(), 3);
         assert_eq!(h.max_components(), 5);
-        assert_eq!(h.count_of(2), 2);
-        assert_eq!(h.count_of(3), 0);
         let pairs: Vec<_> = h.iter().collect();
         assert_eq!(pairs, [(2, 2), (5, 1)]);
     }
@@ -432,8 +425,8 @@ mod tests {
         assert_eq!(s.port_count(), 2);
         // Nets: a (1 comp), y (1 comp), t1 (3 comps), t2 (2 comps) -> H=4.
         assert_eq!(s.net_count(), 4);
-        assert_eq!(s.net_sizes().count_of(3), 1);
-        assert_eq!(s.net_sizes().count_of(1), 2);
+        let sizes: Vec<_> = s.net_sizes().iter().collect();
+        assert_eq!(sizes, [(1, 2), (2, 1), (3, 1)]);
         // W_av = (14 + 14 + 18) / 3.
         assert!((s.average_width() - 46.0 / 3.0).abs() < 1e-12);
         // Active area = (14 + 14 + 18) * 40.

@@ -50,6 +50,8 @@ pub mod placement;
 pub mod postfix;
 pub mod row_model;
 
-pub use anneal::{anneal_replicas, AnnealSchedule, AnnealState, DEFAULT_REPLICA_WORK_THRESHOLD};
+pub use anneal::{
+    anneal_replicas, AnnealSchedule, AnnealState, EvalMode, Walk, DEFAULT_REPLICA_WORK_THRESHOLD,
+};
 pub use hpwl::HpwlJournal;
 pub use placement::{place, PlaceParams, PlacedCell, PlacedModule, PlacedRow};

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::anneal::{anneal_replicas, AnnealSchedule, AnnealState};
+use crate::anneal::{anneal_replicas, AnnealSchedule, AnnealState, EvalMode, Walk};
 use crate::feedthrough;
 use crate::hpwl::HpwlJournal;
 use crate::row_model;
@@ -176,19 +176,6 @@ impl PlacedModule {
     }
 }
 
-/// How a [`PlaceState`] recomputes its cost after a move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EvalMode {
-    /// Recompute every cell coordinate and every net on each move and
-    /// each revert — the original implementation, kept as the
-    /// differential reference.
-    Full,
-    /// Recompute only the touched rows' coordinates and the nets
-    /// incident to cells that actually moved; reverts restore journaled
-    /// state.
-    Delta,
-}
-
 /// The annealing state: device-to-row assignment with order within rows.
 #[derive(Clone)]
 struct PlaceState {
@@ -201,22 +188,16 @@ struct PlaceState {
     /// Vertical distance between adjacent row centerlines.
     y_pitch: f64,
     target_row_width: f64,
-    mode: EvalMode,
-    cached_cost: f64,
-    /// Cached x center per device (delta mode).
+    /// Cached x center per device.
     x: Vec<f64>,
-    /// Cached total cell width per row (delta mode).
+    /// Cached total cell width per row.
     row_width: Vec<i64>,
-    /// Each net's devices and their cached HPWL (delta mode).
+    /// Each net's devices and their cached HPWL.
     hpwl: HpwlJournal,
     // Undo journals for the caches overwritten by the current move.
     undo_x: Vec<(u32, f64)>,
     undo_roww: Vec<(u32, i64)>,
-    /// Pre-move cost snapshot for O(1) restore on revert.
-    snap_cost: f64,
     undo: Option<UndoMove>,
-    evals_full: u64,
-    evals_delta: u64,
 }
 
 #[derive(Clone)]
@@ -226,6 +207,54 @@ enum UndoMove {
 }
 
 impl PlaceState {
+    /// The one-row model of `module` folded into `rows` rows, with its
+    /// caches not yet built. Every device's template must resolve in
+    /// `tech`'s cell library.
+    fn new(module: &Module, tech: &ProcessDb, rows: u32) -> PlaceState {
+        let widths: Vec<Lambda> = (0..module.device_count())
+            .map(|i| {
+                let d = module.device(DeviceId::new(i as u32));
+                tech.cell_library()
+                    .cell(d.template())
+                    .expect("resolved above")
+                    .width()
+            })
+            .collect();
+        let order = row_model::one_row_order(module);
+        let folded = row_model::fold(&order, &widths, rows);
+        let nets: Vec<Vec<u32>> = module
+            .nets()
+            .map(|(_, net)| net.components().iter().map(|d| d.index() as u32).collect())
+            .collect();
+        let mut row_of = vec![0u32; module.device_count()];
+        let folded: Vec<Vec<u32>> = folded
+            .iter()
+            .enumerate()
+            .map(|(r, row)| {
+                row.iter()
+                    .map(|d| {
+                        row_of[d.index()] = r as u32;
+                        d.index() as u32
+                    })
+                    .collect()
+            })
+            .collect();
+        let total_width: i64 = widths.iter().map(|w| w.get()).sum();
+        PlaceState {
+            widths: widths.iter().map(|w| w.get()).collect(),
+            hpwl: HpwlJournal::new(module.device_count(), nets),
+            row_width: vec![0; folded.len()],
+            rows: folded,
+            row_of,
+            y_pitch: (tech.row_height() + tech.track_pitch() * 3).as_f64(),
+            target_row_width: total_width as f64 / rows as f64,
+            x: Vec::new(),
+            undo_x: Vec::new(),
+            undo_roww: Vec::new(),
+            undo: None,
+        }
+    }
+
     fn x_centers(&self) -> Vec<f64> {
         let mut x = vec![0.0f64; self.widths.len()];
         for row in &self.rows {
@@ -239,38 +268,6 @@ impl PlaceState {
         x
     }
 
-    fn compute_cost(&self) -> f64 {
-        let x = self.x_centers();
-        let mut hpwl = 0.0;
-        for net in self.hpwl.nets() {
-            if net.len() < 2 {
-                continue;
-            }
-            let mut min_x = f64::MAX;
-            let mut max_x = f64::MIN;
-            let mut min_y = f64::MAX;
-            let mut max_y = f64::MIN;
-            for &d in net {
-                let cx = x[d as usize];
-                let cy = self.row_of[d as usize] as f64 * self.y_pitch;
-                min_x = min_x.min(cx);
-                max_x = max_x.max(cx);
-                min_y = min_y.min(cy);
-                max_y = max_y.max(cy);
-            }
-            hpwl += (max_x - min_x) + (max_y - min_y);
-        }
-        let balance: f64 = self
-            .rows
-            .iter()
-            .map(|row| {
-                let w: i64 = row.iter().map(|&d| self.widths[d as usize]).sum();
-                (w as f64 - self.target_row_width).abs()
-            })
-            .sum();
-        hpwl + BALANCE_WEIGHT * balance
-    }
-
     /// Cost from the journal's exact HPWL total and the cached row
     /// widths, equal to the reference accumulation bit for bit. Rows sum
     /// in row order.
@@ -281,26 +278,6 @@ impl PlaceState {
             .map(|&w| (w as f64 - self.target_row_width).abs())
             .sum();
         self.hpwl.total() + BALANCE_WEIGHT * balance
-    }
-
-    /// Full re-evaluation, in whichever representation the mode uses.
-    fn refresh_cost(&mut self) {
-        self.evals_full += 1;
-        match self.mode {
-            EvalMode::Full => self.cached_cost = self.compute_cost(),
-            EvalMode::Delta => {
-                self.x = self.x_centers();
-                for r in 0..self.rows.len() {
-                    self.row_width[r] = self.rows[r].iter().map(|&d| self.widths[d as usize]).sum();
-                }
-                self.hpwl
-                    .rebuild(device_centre(&self.x, &self.row_of, self.y_pitch));
-                self.cached_cost = self.delta_cost();
-                // A rebuild is not revertible.
-                self.undo_x.clear();
-                self.undo_roww.clear();
-            }
-        }
     }
 
     /// Recomputes one row's x prefix from index `from` on (journaling
@@ -334,31 +311,6 @@ impl PlaceState {
                 .push((r, std::mem::replace(&mut self.row_width[r as usize], wsum)));
         }
     }
-
-    /// Delta re-evaluation after a move that rewrote `touched` rows from
-    /// the given cell indices on, and moved `moved` devices (either list
-    /// may repeat an entry).
-    fn apply_delta(&mut self, touched: [(u32, usize); 2], moved: [u32; 2]) {
-        self.evals_delta += 1;
-        self.undo_x.clear();
-        self.undo_roww.clear();
-        let [(ra, ia), (rb, ib)] = touched;
-        if ra == rb {
-            self.recompute_row(ra, ia.min(ib));
-        } else {
-            self.recompute_row(ra, ia);
-            self.recompute_row(rb, ib);
-        }
-        // Moved devices may keep their x (equal-width swap) but still
-        // change row — their nets are always dirty.
-        self.hpwl.mark(moved[0]);
-        if moved[1] != moved[0] {
-            self.hpwl.mark(moved[1]);
-        }
-        self.hpwl
-            .settle(device_centre(&self.x, &self.row_of, self.y_pitch));
-        self.cached_cost = self.delta_cost();
-    }
 }
 
 /// The journal's centre lookup over cached x centres and row indices.
@@ -371,13 +323,12 @@ fn device_centre<'a>(
 }
 
 impl AnnealState for PlaceState {
-    fn cost(&self) -> f64 {
-        self.cached_cost
-    }
+    /// The rows a move rewrote from the given cell indices on, and the
+    /// devices it moved (either pair may repeat an entry).
+    type Touched = ([(u32, usize); 2], [u32; 2]);
 
-    fn propose_and_apply(&mut self, rng: &mut StdRng) -> f64 {
+    fn apply(&mut self, rng: &mut StdRng) -> Option<Self::Touched> {
         let n = self.widths.len() as u32;
-        let (touched, moved);
         if rng.gen_bool(0.5) || self.rows.len() == 1 {
             // Swap two distinct devices.
             let a = rng.gen_range(0..n);
@@ -399,8 +350,7 @@ impl AnnealState for PlaceState {
             self.row_of[a as usize] = rb;
             self.row_of[b as usize] = ra;
             self.undo = Some(UndoMove::Swap { a, b });
-            touched = [(ra, ia), (rb, ib)];
-            moved = [a, b];
+            Some(([(ra, ia), (rb, ib)], [a, b]))
         } else {
             // Relocate a device to a random position in a random row.
             let d = rng.gen_range(0..n);
@@ -419,21 +369,11 @@ impl AnnealState for PlaceState {
                 row: from_row,
                 index: from_idx,
             });
-            touched = [(from_row, from_idx), (to_row, to_idx)];
-            moved = [d, d];
+            Some(([(from_row, from_idx), (to_row, to_idx)], [d, d]))
         }
-        match self.mode {
-            EvalMode::Full => self.refresh_cost(),
-            EvalMode::Delta => {
-                self.snap_cost = self.cached_cost;
-                self.hpwl.begin();
-                self.apply_delta(touched, moved);
-            }
-        }
-        self.cached_cost
     }
 
-    fn revert(&mut self) {
+    fn undo(&mut self) {
         match self.undo.take().expect("revert without move") {
             UndoMove::Swap { a, b } => {
                 let (ra, rb) = (self.row_of[a as usize], self.row_of[b as usize]);
@@ -461,23 +401,86 @@ impl AnnealState for PlaceState {
                 self.row_of[device as usize] = row;
             }
         }
-        match self.mode {
-            EvalMode::Full => self.refresh_cost(),
-            EvalMode::Delta => {
-                for (d, v) in self.undo_x.drain(..).rev() {
-                    self.x[d as usize] = v;
-                }
-                self.hpwl.revert();
-                for (r, v) in self.undo_roww.drain(..).rev() {
-                    self.row_width[r as usize] = v;
-                }
-                self.cached_cost = self.snap_cost;
-            }
-        }
     }
 
-    fn eval_counts(&self) -> (u64, u64) {
-        (self.evals_full, self.evals_delta)
+    /// Every cell coordinate and every net from scratch.
+    fn full_cost(&self) -> f64 {
+        let x = self.x_centers();
+        let mut hpwl = 0.0;
+        for net in self.hpwl.nets() {
+            if net.len() < 2 {
+                continue;
+            }
+            let mut min_x = f64::MAX;
+            let mut max_x = f64::MIN;
+            let mut min_y = f64::MAX;
+            let mut max_y = f64::MIN;
+            for &d in net {
+                let cx = x[d as usize];
+                let cy = self.row_of[d as usize] as f64 * self.y_pitch;
+                min_x = min_x.min(cx);
+                max_x = max_x.max(cx);
+                min_y = min_y.min(cy);
+                max_y = max_y.max(cy);
+            }
+            hpwl += (max_x - min_x) + (max_y - min_y);
+        }
+        let balance: f64 = self
+            .rows
+            .iter()
+            .map(|row| {
+                let w: i64 = row.iter().map(|&d| self.widths[d as usize]).sum();
+                (w as f64 - self.target_row_width).abs()
+            })
+            .sum();
+        hpwl + BALANCE_WEIGHT * balance
+    }
+
+    fn rebuild(&mut self) -> f64 {
+        self.x = self.x_centers();
+        for r in 0..self.rows.len() {
+            self.row_width[r] = self.rows[r].iter().map(|&d| self.widths[d as usize]).sum();
+        }
+        self.hpwl
+            .rebuild(device_centre(&self.x, &self.row_of, self.y_pitch));
+        // A rebuild is not revertible.
+        self.undo_x.clear();
+        self.undo_roww.clear();
+        self.delta_cost()
+    }
+
+    /// Recomputes only the touched rows' coordinates from the first
+    /// moved cell on, and the nets incident to cells that moved.
+    fn update(&mut self, (touched, moved): Self::Touched) -> f64 {
+        self.hpwl.begin();
+        self.undo_x.clear();
+        self.undo_roww.clear();
+        let [(ra, ia), (rb, ib)] = touched;
+        if ra == rb {
+            self.recompute_row(ra, ia.min(ib));
+        } else {
+            self.recompute_row(ra, ia);
+            self.recompute_row(rb, ib);
+        }
+        // Moved devices may keep their x (equal-width swap) but still
+        // change row — their nets are always dirty.
+        self.hpwl.mark(moved[0]);
+        if moved[1] != moved[0] {
+            self.hpwl.mark(moved[1]);
+        }
+        self.hpwl
+            .settle(device_centre(&self.x, &self.row_of, self.y_pitch));
+        self.delta_cost()
+    }
+
+    fn restore(&mut self) {
+        for (d, v) in self.undo_x.drain(..).rev() {
+            self.x[d as usize] = v;
+        }
+        self.hpwl.revert();
+        for (r, v) in self.undo_roww.drain(..).rev() {
+            self.row_width[r as usize] = v;
+        }
     }
 }
 
@@ -531,64 +534,13 @@ fn place_with(
     // from the shared resolve-once cache: a placement run after a pipeline
     // estimate of the same module re-uses the estimate's analysis.
     let stats = StatsCache::shared().resolve(module, tech, LayoutStyle::StandardCell)?;
-    let widths: Vec<Lambda> = (0..module.device_count())
-        .map(|i| {
-            let d = module.device(DeviceId::new(i as u32));
-            tech.cell_library()
-                .cell(d.template())
-                .expect("resolved above")
-                .width()
-        })
-        .collect();
-
-    // Initial placement: one-row model folded into n rows.
-    let order = row_model::one_row_order(module);
-    let folded = row_model::fold(&order, &widths, params.rows);
-
-    let nets: Vec<Vec<u32>> = module
-        .nets()
-        .map(|(_, net)| net.components().iter().map(|d| d.index() as u32).collect())
-        .collect();
-    let mut row_of = vec![0u32; module.device_count()];
-    let rows: Vec<Vec<u32>> = folded
-        .iter()
-        .enumerate()
-        .map(|(r, row)| {
-            row.iter()
-                .map(|d| {
-                    row_of[d.index()] = r as u32;
-                    d.index() as u32
-                })
-                .collect()
-        })
-        .collect();
-
-    let total_width: i64 = widths.iter().map(|w| w.get()).sum();
-    let net_count = nets.len();
-    let row_count = rows.len();
-    let mut state = PlaceState {
-        widths: widths.iter().map(|w| w.get()).collect(),
-        hpwl: HpwlJournal::new(module.device_count(), nets),
-        rows,
-        row_of,
-        y_pitch: (tech.row_height() + tech.track_pitch() * 3).as_f64(),
-        target_row_width: total_width as f64 / params.rows as f64,
-        mode,
-        cached_cost: 0.0,
-        x: Vec::new(),
-        row_width: vec![0; row_count],
-        undo_x: Vec::new(),
-        undo_roww: Vec::new(),
-        snap_cost: 0.0,
-        undo: None,
-        evals_full: 0,
-        evals_delta: 0,
-    };
-    state.refresh_cost();
+    let state = PlaceState::new(module, tech, params.rows);
+    let net_count = state.hpwl.nets().len();
+    let mut walk = Walk::new(state, mode);
     // `anneal` never ends above its start, so the router never gets
     // anything worse than the folded one-row model.
     anneal_replicas(
-        &mut state,
+        &mut walk,
         None,
         &params.schedule,
         params.seed,
@@ -596,6 +548,7 @@ fn place_with(
         64,
         net_count,
     );
+    let state = walk.state();
 
     // Materialize coordinates.
     let mut placed_rows = Vec::with_capacity(state.rows.len());
@@ -604,7 +557,7 @@ fn place_with(
         let mut cells = Vec::with_capacity(row.len());
         let mut acc = Lambda::ZERO;
         for &d in row {
-            let width = widths[d as usize];
+            let width = Lambda::new(state.widths[d as usize]);
             cells.push(PlacedCell {
                 device: DeviceId::new(d),
                 x: acc,
@@ -771,6 +724,28 @@ mod tests {
             let delta = place(&m, &tech, &quick_params(rows)).expect("places");
             let full = place_full_refresh(&m, &tech, &quick_params(rows)).expect("places");
             assert_eq!(delta, full, "{} diverged", m.name());
+        }
+    }
+
+    #[test]
+    fn every_move_and_revert_prices_like_the_reference() {
+        // Per move, not only per run: the delta cost after each move and
+        // each revert equals a from-scratch pricing of the same rows.
+        let tech = builtin::nmos25();
+        for devices in [4, 9, 16, 27, 40, 64] {
+            let m = generate::random_logic(
+                devices as u64,
+                &generate::RandomLogicConfig {
+                    device_count: devices,
+                    input_count: (devices / 8).clamp(2, 24),
+                    ..generate::RandomLogicConfig::default()
+                },
+            );
+            for rows in 1..=4 {
+                let state = PlaceState::new(&m, &tech, rows);
+                let step = crate::anneal::first_delta_divergence(state, 3_000, u64::from(rows));
+                assert_eq!(step, None, "{} at {rows} rows", m.name());
+            }
         }
     }
 

@@ -670,14 +670,6 @@ impl<V: Clone + PartialEq> IncrementalPostfix<V> {
         }
     }
 
-    /// Drops the undo journal so a following [`IncrementalPostfix::revert`]
-    /// is a no-op — for moves that turned out not to change anything.
-    pub fn clear_undo(&mut self) {
-        self.undo_vals.clear();
-        self.undo_links.clear();
-        self.undo_pos.clear();
-    }
-
     /// The root position.
     pub fn root(&self) -> u32 {
         self.root
@@ -903,21 +895,6 @@ mod tests {
         assert_eq!(r.anchor, 0);
         inc.revert();
         assert_eq!(*inc.root_val(), (4, 9));
-    }
-
-    #[test]
-    fn clear_undo_makes_revert_a_noop() {
-        let expr = PolishExpr::initial(5);
-        let dims = sizes(5);
-        let mut inc = full(&expr, &dims);
-        let before = inc.vals.clone();
-        let mut dims2 = dims.clone();
-        dims2[2] = (100, 100);
-        let p = inc.operand_pos(2) as usize;
-        inc.update(&expr.elems, |id| dims2[id as usize], comb, p, p);
-        inc.clear_undo();
-        inc.revert();
-        assert_ne!(inc.vals, before, "revert after clear_undo must not rewind");
     }
 
     #[test]

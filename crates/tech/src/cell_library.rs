@@ -284,17 +284,6 @@ impl CellLibrary {
         self.cells.get(name)
     }
 
-    /// Looks up a cell template by name, as a `Result`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TechError::UnknownCell`] when absent.
-    pub fn require_cell(&self, name: &str) -> Result<&CellTemplate, TechError> {
-        self.cell(name).ok_or_else(|| TechError::UnknownCell {
-            name: name.to_owned(),
-        })
-    }
-
     /// Iterates over all cells in name order.
     pub fn iter(&self) -> impl Iterator<Item = &CellTemplate> {
         self.cells.values()
@@ -382,13 +371,7 @@ mod tests {
         assert_eq!(lib.len(), 1);
         assert!(!lib.is_empty());
         assert!(lib.cell("INV").is_some());
-        assert!(lib.require_cell("INV").is_ok());
-        assert_eq!(
-            lib.require_cell("NAND9").unwrap_err(),
-            TechError::UnknownCell {
-                name: "NAND9".to_owned()
-            }
-        );
+        assert!(lib.cell("NAND9").is_none());
     }
 
     #[test]

@@ -12,11 +12,6 @@ pub enum TechError {
         /// The missing device-type name.
         name: String,
     },
-    /// A standard cell referenced by name does not exist in the library.
-    UnknownCell {
-        /// The missing cell name.
-        name: String,
-    },
     /// Two templates with the same name were registered.
     DuplicateName {
         /// The duplicated name.
@@ -38,7 +33,6 @@ impl fmt::Display for TechError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TechError::UnknownDevice { name } => write!(f, "unknown device type `{name}`"),
-            TechError::UnknownCell { name } => write!(f, "unknown standard cell `{name}`"),
             TechError::DuplicateName { name } => write!(f, "duplicate template name `{name}`"),
             TechError::InvalidParameter { message } => {
                 write!(f, "invalid process parameter: {message}")

@@ -15,10 +15,14 @@
 # with S the run_seconds of BENCHMARK.json: the parent first on odd
 # seeds, the change first on even ones. Each run, its build included, is
 # stopped after RUN_LIMIT seconds (900, enough for a cold build of both
-# workspaces and a slow check phase) and timed. Each run's stdout is kept
-# in .bench_pairs/WORKLOAD-SIDE-seedN.out, and every JSON result line in
-# .bench_pairs/WORKLOAD-seeds-FIRST-LAST.tsv (side, seed, the run's wall
-# seconds, line). Then, for each end-to-end metric of
+# workspaces and a slow check phase) and timed. Each set of runs keeps
+# its files in a directory of its own,
+# .bench_pairs/WORKLOAD-seeds-FIRST-LAST-STAMP with STAMP the set's UTC
+# start time (e.g. serve_mixed-seeds-1-10-20261020T101500Z), so a later
+# set over the same workload and seeds leaves them alone: each run's
+# stdout in SIDE-seedN.out, and every JSON result line in results.tsv
+# (side, seed, the run's wall seconds, line). Then, for each end-to-end
+# metric of
 # BENCHMARK.json, the script prints the per-pair values, each side's
 # median and quartiles (linear interpolation), the pairs the change won
 # (ties count for neither), whether the median gain exceeds the
@@ -33,8 +37,9 @@
 #   within bound
 #
 # Then one line names every metric that is worse or unresolved, or says
-# none is; last, each side's attempted and failed operations and its
-# median run time. The verdicts do not change the exit status.
+# none is; then each side's attempted and failed operations and its
+# median run time; last, the set's directory. The verdicts do not change
+# the exit status.
 #
 # Exits non-zero if a run times out, fails, prints no result line or
 # reports "correct":false. On exit the parent's tree is removed and
@@ -88,8 +93,9 @@ trap cleanup EXIT
 mkdir "$tree"
 git -C "$root" archive "$parent_rev" | tar -x -m -C "$tree"
 
-results=$work/$workload-seeds-$first-$last.tsv
-: >"$results"
+set_dir=$work/$workload-seeds-$first-$last-$(date -u +%Y%m%dT%H%M%SZ)
+mkdir "$set_dir"
+results=$set_dir/results.tsv
 
 # Wall-clock limit of one run, its build included.
 RUN_LIMIT=900
@@ -99,7 +105,7 @@ RUN_LIMIT=900
 run() {
     local side=$1 seed=$2 dir=$root line status=0 start wall
     local target=${CARGO_TARGET_DIR:-$root/.bench_build}
-    local out=$work/$workload-$side-seed$seed.out
+    local out=$set_dir/$side-seed$seed.out
     if [[ $side == parent ]]; then
         dir=$tree
         target=$work/target
@@ -242,4 +248,4 @@ awk -F'\t' -v metrics="$metrics" '
             quantile(p, n, 0.5), quantile(c, n, 0.5)
     }
 ' "$results"
-echo "result lines: $results"
+echo "this set's runs and result lines: $set_dir"

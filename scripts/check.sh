@@ -84,4 +84,14 @@ if grep -rl --include='*.rs' 'split_design(' crates/*/src | grep -vx 'crates/net
     exit 1
 fi
 
+echo "==> one evaluation-mode switch in the annealing engine"
+# The engine's Walk prices every move from scratch or through the
+# state's cache by one EvalMode and counts the evaluations. An annealer
+# with a mode of its own brings back the per-state branches and tallies
+# that the engine replaced.
+if grep -rl --include='*.rs' 'enum EvalMode' crates/*/src | grep -vx 'crates/place/src/anneal.rs'; then
+    echo "error: enum EvalMode defined outside crates/place/src/anneal.rs (use maestro_place::EvalMode)" >&2
+    exit 1
+fi
+
 echo "==> tier-1 gate passed"
